@@ -3,29 +3,27 @@
 :func:`repro.cluster.simulation.simulate` routes here when the config
 carries an active :class:`~repro.faults.plan.FaultPlan` or an active
 :class:`~repro.overload.OverloadPolicy` (overload-only runs use an
-empty fault plan).  The no-fault hot loop stays untouched; this loop
-layers crash/recovery transitions, pause/kill semantics,
+empty fault plan).  The no-fault loops stay untouched; these loops
+layer crash/recovery transitions, pause/kill semantics,
 retry-with-backoff requeues, queued-copy timeouts, hedged requests,
 and the overload controller (adaptive admission, circuit breakers,
 partial-fanout degradation, CDF drift re-bootstrap) on top of the same
 model, sharing the spec/budget preparation helpers so the underlying
 trace is byte-identical.
 
-Like the no-fault kernel, the common benchmarking shape — untraced,
-homogeneous, offline estimator, default placement, FIFO/T-EDFQ/TF-EDFQ
-— runs one of two specialized flat loops instead of the generic one:
-
-* :func:`_fault_loop_pause` for plans with no mitigations (crashes
-  pause servers; no copies, timers, or cancellations exist), the fault
-  twin of ``_fast_loop_static``;
-* :func:`_fault_loop_mitigated` for retry/hedge plans, with the policy
-  queues, slot records, and mitigation timers inlined as plain lists.
-
-Both are pinned bit-identical to the generic loop by the golden-master
-corpus: event order, RNG consumption, and float accumulation order are
-exactly the generic loop's — only the bookkeeping around them is
-specialized (block-drained service samples, int event codes, hoisted
-hedge delays, vectorized deadline/key precomputation).
+Like the no-fault kernel, :func:`simulate_with_faults` picks one of
+two loops.  The common benchmarking shape — untraced, homogeneous,
+offline estimator, default placement, FIFO/T-EDFQ/TF-EDFQ, no overload
+controller — runs :func:`_fault_loop_mitigated`, with the policy
+queues, slot records, and mitigation timers inlined as plain lists.
+It serves every plan of that shape: pause-only plans (no retry, no
+hedge) and replica-only runs take it too, and simply never arm a timer.
+Everything else runs the generic loop.  The specialized loop is pinned
+bit-identical to the generic one by the golden-master corpus: event
+order, RNG consumption, and float accumulation order are exactly the
+generic loop's — only the bookkeeping around them is specialized
+(block-drained service samples, int event codes, hoisted hedge delays,
+vectorized deadline/key precomputation).
 
 Event ordering at equal timestamps (the contract the DES-kernel fault
 path mirrors; see ``docs/faults.md``):
@@ -49,7 +47,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.results import SimulationResult, Timeline
+from repro.cluster.results import SimulationResult
 from repro.core.deadline import DeadlineEstimator
 from repro.core.policies import FIFOPolicy, TEDFPolicy, TFEDFPolicy
 from repro.errors import ConfigurationError
@@ -76,7 +74,7 @@ _R_COMPLETE = 1
 _R_RETRY = 2
 _R_HEDGE = 3
 
-#: Integer event codes used by the specialized loops (the generic loop
+#: Integer event codes used by the specialized loop (the generic loop
 #: keeps its one-character strings).  FAIL/RECOVER share rank 0 — the
 #: unique sequence number breaks their ties, so codes are never
 #: compared by the heap.
@@ -114,267 +112,12 @@ class _Slot:
         return not self.done and not self.failed
 
 
-def _finalize_faults(config: ClusterConfig, policy, n: int, server_cdfs,
-                     classes, class_index, fanout, arrival, latency,
-                     rejected, failed_q, busy_total: float,
-                     tasks_total: int, tasks_missed: int, now: float,
-                     tasks_failed: int, tasks_retried: int,
-                     tasks_hedged: int, tasks_cancelled: int,
-                     server_failures: int, sample_times, sample_queued,
-                     sample_busy, coverage_q, degraded_q, ctrl, rc, rec,
-                     tracing: bool) -> SimulationResult:
-    """Shared wrap-up for the generic and specialized fault loops."""
-    m = len(class_index)
-    warmup_count = int(m * config.warmup_fraction)
-    measured = np.zeros(m, dtype=bool)
-    measured[warmup_count:] = True
-
-    timeline = None
-    if config.timeline_interval_ms is not None:
-        timeline = Timeline(
-            time=np.asarray(sample_times),
-            queued_tasks=np.asarray(sample_queued, dtype=np.int64),
-            busy_servers=np.asarray(sample_busy, dtype=np.int64),
-        )
-
-    mean_service = float(
-        np.mean([server_cdfs[sid].mean() for sid in range(n)])
-    )
-    if config.workload is not None:
-        offered = config.workload.load(n)
-    else:
-        span = float(arrival.max() - arrival.min())
-        offered = (
-            float(fanout.sum()) * mean_service / (n * span) if span > 0 else 0.0
-        )
-
-    if tracing:
-        rec.set_gauge("utilization",
-                      busy_total / (n * now) if now > 0 else 0.0)
-        rec.set_gauge("deadline_miss_ratio",
-                      tasks_missed / tasks_total if tasks_total else 0.0)
-        rec.set_gauge("duration_ms", now)
-
-    return SimulationResult(
-        policy_name=policy.name,
-        n_servers=n,
-        seed=config.seed,
-        offered_load=offered,
-        classes=tuple(classes),
-        class_index=class_index,
-        fanout=fanout,
-        arrival=arrival,
-        latency=latency,
-        rejected=rejected,
-        measured=measured,
-        tasks_total=tasks_total,
-        tasks_missed_deadline=tasks_missed,
-        busy_time_total=busy_total,
-        duration=now,
-        mean_service_ms=mean_service,
-        timeline=timeline,
-        obs=rec if tracing else None,
-        failed=failed_q,
-        tasks_failed=tasks_failed,
-        tasks_retried=tasks_retried,
-        tasks_hedged=tasks_hedged,
-        tasks_cancelled=tasks_cancelled,
-        server_failures=server_failures,
-        coverage=coverage_q,
-        degraded=degraded_q,
-        degraded_queries=ctrl.degraded_queries if ctrl is not None else 0,
-        shed_tasks=ctrl.shed_tasks if ctrl is not None else 0,
-        breaker_trips=ctrl.breaker_trips if ctrl is not None else 0,
-        cdf_rebootstraps=ctrl.cdf_rebootstraps if ctrl is not None else 0,
-        overload=ctrl,
-        hedges_suppressed=rc.hedges_suppressed if rc is not None else 0,
-        replicas=rc,
-    )
-
-
-def _fault_loop_pause(is_fifo: bool, n: int, m: int, arrival, arrival_l,
-                      fanout_l, deadline_l, key_l, transitions, stream0,
-                      placement_rng, strag_eps, straggling: bool):
-    """Specialized loop for mitigation-free plans (crashes *pause*).
-
-    No retry and no hedge means copies, cancellations, timers, and the
-    slot records all vanish: a task is just its ``(qidx, deadline)``
-    pair, ``busy[sid]``/``paused[sid]`` hold the query index directly,
-    and the queues inline to a deque (FIFO) or a raw
-    ``(key, seq, qidx, deadline)`` heap (EDF family).  Event order,
-    RNG consumption, and float accumulation exactly mirror the generic
-    loop (the golden corpus pins this bit-for-bit).
-    """
-    heappush, heappop = heapq.heappush, heapq.heappop
-    infinity = float("inf")
-
-    queues = ([deque() for _ in range(n)] if is_fifo
-              else [[] for _ in range(n)])
-    qseq = [0] * n
-    busy = [-1] * n
-    paused = [-1] * n
-    down = [False] * n
-    epoch = [0] * n
-    service_start = [0.0] * n
-    all_servers = tuple(range(n))
-    pr_integers = placement_rng.integers
-    pr_choice = placement_rng.choice
-    drain = stream0.drain_block
-    sbuf: List[float] = []
-    sidx = 0
-    slen = 0
-
-    remaining = list(fanout_l)
-    comp_idx: List[int] = []
-    comp_time: List[float] = []
-
-    heap: List[Tuple] = []
-    seq = 0
-    for t, sid, kind in transitions:
-        # transitions() is pre-sorted and seq is monotone, so appends
-        # build an already-valid min-heap.
-        heap.append((t, _R_TRANSITION, seq,
-                     _E_FAIL if kind == FAIL else _E_RECOVER, sid))
-        seq += 1
-
-    busy_total = 0.0
-    tasks_total = 0
-    tasks_missed = 0
-    server_failures = 0
-    now = 0.0
-    qi = 0
-
-    def start_service(sid: int, qidx: int, deadline: float,
-                      restart: bool) -> None:
-        nonlocal seq, tasks_total, tasks_missed, sbuf, sidx, slen
-        busy[sid] = qidx
-        service_start[sid] = now
-        if sidx == slen:
-            sbuf = drain()
-            slen = len(sbuf)
-            sidx = 0
-        duration = sbuf[sidx]
-        sidx += 1
-        if straggling:
-            eps = strag_eps[sid]
-            if eps:
-                factor = 1.0
-                for start_ms, end_ms, fac in eps:
-                    if start_ms <= now < end_ms:
-                        factor *= fac
-                duration *= factor
-        if not restart:
-            tasks_total += 1
-            if now > deadline:
-                tasks_missed += 1
-        heappush(heap, (now + duration, _R_COMPLETE, seq, _E_COMPLETE,
-                        sid, qidx, duration, epoch[sid]))
-        seq += 1
-
-    def start_next(sid: int) -> None:
-        queue = queues[sid]
-        if queue:
-            if is_fifo:
-                qidx, deadline = queue.popleft()
-            else:
-                entry = heappop(queue)
-                qidx = entry[2]
-                deadline = entry[3]
-            start_service(sid, qidx, deadline, False)
-
-    while qi < m or heap:
-        next_arrival = arrival_l[qi] if qi < m else infinity
-
-        while heap:
-            head = heap[0]
-            now = head[0]
-            if now > next_arrival:
-                break
-            heappop(heap)
-            code = head[3]
-
-            if code == _E_COMPLETE:
-                sid = head[4]
-                if head[7] != epoch[sid]:
-                    continue  # stale: the server crashed mid-service
-                busy_total += head[6]
-                busy[sid] = -1
-                qidx = head[5]
-                left = remaining[qidx] - 1
-                remaining[qidx] = left
-                if not left:
-                    comp_idx.append(qidx)
-                    comp_time.append(now)
-                if not down[sid]:
-                    start_next(sid)
-
-            elif code == _E_FAIL:
-                sid = head[4]
-                server_failures += 1
-                down[sid] = True
-                epoch[sid] += 1
-                qidx = busy[sid]
-                if qidx >= 0:
-                    busy_total += now - service_start[sid]
-                    busy[sid] = -1
-                    paused[sid] = qidx
-
-            else:                                # ----- _E_RECOVER
-                sid = head[4]
-                down[sid] = False
-                qidx = paused[sid]
-                if qidx >= 0:
-                    paused[sid] = -1
-                    start_service(sid, qidx, 0.0, True)
-                else:
-                    start_next(sid)
-
-        if qi >= m:
-            break  # heap fully drained, no arrivals left
-
-        # ----- query arrival -------------------------------------------
-        now = next_arrival
-        qidx = qi
-        qi += 1
-        k = fanout_l[qidx]
-        deadline = deadline_l[qidx]
-        if k == n:
-            servers = all_servers
-        elif k == 1:
-            servers = (int(pr_integers(n)),)
-        else:
-            servers = pr_choice(n, size=k, replace=False).tolist()
-        if is_fifo:
-            for sid in servers:
-                if busy[sid] >= 0 or down[sid]:
-                    queues[sid].append((qidx, deadline))
-                else:
-                    start_service(sid, qidx, deadline, False)
-        else:
-            keyval = key_l[qidx]
-            for sid in servers:
-                if busy[sid] >= 0 or down[sid]:
-                    heappush(queues[sid],
-                             (keyval, qseq[sid], qidx, deadline))
-                    qseq[sid] += 1
-                else:
-                    start_service(sid, qidx, deadline, False)
-
-    latency = np.full(m, np.nan)
-    if comp_idx:
-        idx = np.asarray(comp_idx, dtype=np.intp)
-        latency[idx] = np.asarray(comp_time) - arrival[idx]
-    failed_q = np.zeros(m, dtype=bool)
-    return (latency, failed_q, busy_total, tasks_total, tasks_missed,
-            0, 0, 0, 0, server_failures, now)
-
-
 def _fault_loop_mitigated(is_fifo: bool, n: int, m: int, arrival, arrival_l,
                           fanout_l, deadline_l, key_l, transitions, stream0,
                           placement_rng, strag_eps, straggling: bool,
                           kill_mode: bool, retry, hedge, hedge_delay: float,
                           rc=None):
-    """Specialized loop for retry/hedge plans.
+    """Specialized loop for every fast-eligible plan.
 
     The generic loop's ``_Slot`` objects become plain lists
     (``[qidx, deadline, key, done, failed, attempts, hedges, pending,
@@ -393,6 +136,11 @@ def _fault_loop_mitigated(is_fifo: bool, n: int, m: int, arrival, arrival_l,
     adapts the hedge delay — moves hedge timers from the pre-sorted
     ``hq`` deque onto the main heap, because a delay that changes
     between arms breaks the deque's sortedness invariant.
+
+    Without retry and hedge (a pause-only plan, or a replica policy
+    alone) no timer is ever armed and no copy is ever cancelled: each
+    slot keeps its single primary copy, and a crash pauses it until the
+    server recovers.
     """
     heappush, heappop = heapq.heappush, heapq.heappop
     infinity = float("inf")
@@ -988,6 +736,7 @@ def simulate_with_faults(config: ClusterConfig) -> SimulationResult:
     """
     from repro.cluster.simulation import (
         _budget_array,
+        _finalize,
         _prepare_query_arrays,
         _prepare_specs,
         _server_streams,
@@ -1068,19 +817,16 @@ def simulate_with_faults(config: ClusterConfig) -> SimulationResult:
     sample_interval = config.timeline_interval_ms
     single_stream = len({id(stream) for stream in server_stream}) == 1
 
-    # The specialized loops cover the common benchmarking shape —
+    # The specialized loop covers the common benchmarking shape —
     # untraced, no overload controller, no admission, default placement,
     # hoisted budgets, one shared service stream, no sampling, no
-    # perturbations, and a policy whose queue inlines.  Everything else
-    # runs the generic loop below, unchanged.  A replica controller
-    # rides along in the mitigated loop (its timer lanes grew the
-    # hooks) but not the pause loop, which has no retry/hedge machinery
-    # for it to steer.
+    # perturbations, and a policy whose queue inlines — whatever the
+    # plan's mitigations and replica policy.  Everything else runs the
+    # generic loop below, unchanged.
     fast = (not tracing and ctrl is None and admission is None
             and placement is None and config.specs is None
             and use_budget_array and single_stream
             and sample_interval is None and not perturbations
-            and (rc is None or retry is not None or hedge is not None)
             and type(policy) in (FIFOPolicy, TEDFPolicy, TFEDFPolicy))
 
     if fast:
@@ -1099,35 +845,29 @@ def simulate_with_faults(config: ClusterConfig) -> SimulationResult:
         transitions = materialized.transitions()
         strag_eps = [materialized.straggler_episodes(sid)
                      for sid in range(n)]
-        stream0 = server_stream[0]
-        if retry is None and hedge is None:
-            (latency, failed_q, busy_total, tasks_total, tasks_missed,
-             tasks_failed, tasks_retried, tasks_hedged, tasks_cancelled,
-             server_failures, now) = _fault_loop_pause(
-                is_fifo, n, m, arrival, arrival_l, fanout_l, deadline_l,
-                key_l, transitions, stream0, placement_rng, strag_eps,
-                straggling)
-        else:
-            # Homogeneous single stream => every server shares one CDF
-            # object, so the per-slot base hedge delay is one constant.
-            # Routed through the estimator's quantile memo so a drift
-            # re-bootstrap would invalidate it (here the estimator never
-            # re-bootstraps — ctrl is None — so it stays a constant).
-            hedge_delay = (hedge.delay_via(estimator, 0)
-                           if hedge is not None else 0.0)
-            (latency, failed_q, busy_total, tasks_total, tasks_missed,
-             tasks_failed, tasks_retried, tasks_hedged, tasks_cancelled,
-             server_failures, now) = _fault_loop_mitigated(
-                is_fifo, n, m, arrival, arrival_l, fanout_l, deadline_l,
-                key_l, transitions, stream0, placement_rng, strag_eps,
-                straggling, kill_mode, retry, hedge, hedge_delay, rc)
-        rejected = np.zeros(m, dtype=bool)
-        return _finalize_faults(
+        # Homogeneous single stream => every server shares one CDF
+        # object, so the per-slot base hedge delay is one constant.
+        # Routed through the estimator's quantile memo so a drift
+        # re-bootstrap would invalidate it (here the estimator never
+        # re-bootstraps — ctrl is None — so it stays a constant).
+        hedge_delay = (hedge.delay_via(estimator, 0)
+                       if hedge is not None else 0.0)
+        (latency, failed_q, busy_total, tasks_total, tasks_missed,
+         tasks_failed, tasks_retried, tasks_hedged, tasks_cancelled,
+         server_failures, now) = _fault_loop_mitigated(
+            is_fifo, n, m, arrival, arrival_l, fanout_l, deadline_l,
+            key_l, transitions, server_stream[0], placement_rng, strag_eps,
+            straggling, kill_mode, retry, hedge, hedge_delay, rc)
+        return _finalize(
             config, policy, n, server_cdfs, classes, class_index, fanout,
-            arrival, latency, rejected, failed_q, busy_total, tasks_total,
-            tasks_missed, now, tasks_failed, tasks_retried, tasks_hedged,
-            tasks_cancelled, server_failures, [], [], [], None, None,
-            None, rc, rec, tracing)
+            arrival, latency, np.zeros(m, dtype=bool), busy_total,
+            tasks_total, tasks_missed, now, [], [], [], rec, tracing,
+            failed=failed_q, tasks_failed=tasks_failed,
+            tasks_retried=tasks_retried, tasks_hedged=tasks_hedged,
+            tasks_cancelled=tasks_cancelled,
+            server_failures=server_failures,
+            hedges_suppressed=rc.hedges_suppressed if rc is not None else 0,
+            replicas=rc)
 
     # Hot-loop mirrors: plain Python lists for the per-event scalar
     # reads/writes (list indexing beats numpy scalar indexing by ~5x);
@@ -1763,9 +1503,18 @@ def simulate_with_faults(config: ClusterConfig) -> SimulationResult:
         idx = np.asarray(comp_idx, dtype=np.intp)
         latency[idx] = np.asarray(comp_time) - arrival[idx]
 
-    return _finalize_faults(
+    return _finalize(
         config, policy, n, server_cdfs, classes, class_index, fanout,
-        arrival, latency, rejected, failed_q, busy_total, tasks_total,
-        tasks_missed, now, tasks_failed, tasks_retried, tasks_hedged,
-        tasks_cancelled, server_failures, sample_times, sample_queued,
-        sample_busy, coverage_q, degraded_q, ctrl, rc, rec, tracing)
+        arrival, latency, rejected, busy_total, tasks_total, tasks_missed,
+        now, sample_times, sample_queued, sample_busy, rec, tracing,
+        failed=failed_q, tasks_failed=tasks_failed,
+        tasks_retried=tasks_retried, tasks_hedged=tasks_hedged,
+        tasks_cancelled=tasks_cancelled, server_failures=server_failures,
+        coverage=coverage_q, degraded=degraded_q,
+        degraded_queries=ctrl.degraded_queries if ctrl is not None else 0,
+        shed_tasks=ctrl.shed_tasks if ctrl is not None else 0,
+        breaker_trips=ctrl.breaker_trips if ctrl is not None else 0,
+        cdf_rebootstraps=ctrl.cdf_rebootstraps if ctrl is not None else 0,
+        overload=ctrl,
+        hedges_suppressed=rc.hedges_suppressed if rc is not None else 0,
+        replicas=rc)

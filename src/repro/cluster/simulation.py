@@ -6,6 +6,14 @@ integration test asserts equal latencies on a shared trace), but the
 implementation is a flat two-stream merge — sorted arrivals against a
 completion heap — which runs large parameter sweeps in minutes.
 
+:func:`simulate` picks one of two loops for a fault-free config: the
+generic loop (tracing, custom placement, PRIQ/WRR or custom policies)
+or :func:`_fast_loop` (everything else), which inlines the FIFO and
+EDF-family queues and guards admission, timeline sampling, online
+estimation and perturbations with one local flag each.  Configs with
+faults, overload protection or replicas go to the two loops of
+:mod:`repro.cluster.faultsim` instead.
+
 Model recap (paper Fig. 2):
 
 * a query arrives, passes admission control, fans out ``k_f`` tasks to
@@ -49,9 +57,11 @@ from repro.workloads.generator import generate_queries, generate_query_arrays
 def _prepare_specs(config: ClusterConfig, spec_rng: np.random.Generator):
     """Materialize the spec list and its per-query arrays.
 
-    Shared by the no-fault hot loop below and the fault-aware loop in
-    :mod:`repro.cluster.faultsim` so both paths see byte-identical
-    traces for a given config.
+    Shared by the no-fault loops below and the fault-aware loops in
+    :mod:`repro.cluster.faultsim` so both calendars see byte-identical
+    traces for a given config.  Caller-supplied specs (trace replay)
+    are checked here: pre-assigned servers must lie in ``[0, n)`` and
+    arrival times must be finite.
     """
     if config.specs is not None:
         specs = sorted(config.specs, key=lambda s: s.arrival_time)
@@ -83,6 +93,20 @@ def _prepare_specs(config: ClusterConfig, spec_rng: np.random.Generator):
             raise ConfigurationError(
                 f"query {spec.query_id}: fanout {spec.fanout} > {n} servers"
             )
+        if spec.servers is not None:
+            for sid in spec.servers:
+                if not 0 <= sid < n:
+                    raise ConfigurationError(
+                        f"query {spec.query_id}: server {sid} outside "
+                        f"[0, {n})"
+                    )
+    finite = np.isfinite(arrival)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ConfigurationError(
+            f"query {specs[bad].query_id}: arrival time {arrival[bad]} "
+            f"is not finite"
+        )
     return specs, classes, class_index, fanout, arrival
 
 
@@ -171,169 +195,6 @@ def _server_streams(config: ClusterConfig, server_cdfs,
     return server_stream
 
 
-def _fast_loop_static(is_fifo: bool, n: int, m: int, arrival_l, fanout_l,
-                      query_budget, stream0, placement_rng):
-    """The innermost specialization of :func:`_fast_loop`.
-
-    Preconditions (checked by the caller): precomputed budget array, no
-    admission control, no pre-placed servers, one shared service-time
-    stream, no perturbations, no timeline sampling, and a FIFO or
-    TF-EDFQ policy.  Those preconditions let every per-event guard
-    disappear, the completion calendar shrink to ``(finish, sid, qidx)``
-    triples, and TF-EDFQ queue entries shrink to
-    ``(deadline, seq, qidx)`` — the queue key *is* the stamped deadline.
-    Event order, RNG consumption, and all arithmetic are exactly the
-    generic loop's.
-    """
-    heappush, heappop = heapq.heappush, heapq.heappop
-
-    queues = ([deque() for _ in range(n)] if is_fifo
-              else [[] for _ in range(n)])
-    busy = [False] * n
-    all_servers = tuple(range(n))
-    pr_integers = placement_rng.integers
-    pr_choice = placement_rng.choice
-    drain = stream0.drain_block
-    sbuf: List[float] = []
-    sidx = 0
-    slen = 0
-
-    nan = float("nan")
-    heap: List[Tuple[float, int, int]] = []
-    latency_l = [nan] * m
-    remaining = list(fanout_l)
-    seq = 0
-    qi = 0
-    now = 0.0
-    busy_total = 0.0
-    tasks_total = 0
-    tasks_missed = 0
-
-    while qi < m:
-        next_arrival = arrival_l[qi]
-        # Run down every completion at or before the next arrival.
-        while heap:
-            head = heap[0]
-            now = head[0]
-            if now > next_arrival:
-                break
-            heappop(heap)
-            sid = head[1]
-            qidx = head[2]
-            left = remaining[qidx] - 1
-            remaining[qidx] = left
-            if not left:
-                latency_l[qidx] = now - arrival_l[qidx]
-            queue = queues[sid]
-            if queue:
-                if is_fifo:
-                    task_qidx, task_deadline = queue.popleft()
-                else:
-                    entry = heappop(queue)
-                    task_deadline = entry[0]
-                    task_qidx = entry[2]
-                tasks_total += 1
-                if now > task_deadline:
-                    tasks_missed += 1
-                if sidx == slen:
-                    sbuf = drain()
-                    slen = len(sbuf)
-                    sidx = 0
-                duration = sbuf[sidx]
-                sidx += 1
-                busy_total += duration
-                heappush(heap, (now + duration, sid, task_qidx))
-            else:
-                busy[sid] = False
-
-        # ----- query arrival -------------------------------------------
-        now = next_arrival
-        qidx = qi
-        qi += 1
-        k = fanout_l[qidx]
-        deadline = now + query_budget[qidx]
-        if k == 1:
-            sid = int(pr_integers(n))
-            if busy[sid]:
-                if is_fifo:
-                    queues[sid].append((qidx, deadline))
-                else:
-                    heappush(queues[sid], (deadline, seq, qidx))
-                    seq += 1
-            else:
-                busy[sid] = True
-                tasks_total += 1
-                if now > deadline:
-                    tasks_missed += 1
-                if sidx == slen:
-                    sbuf = drain()
-                    slen = len(sbuf)
-                    sidx = 0
-                duration = sbuf[sidx]
-                sidx += 1
-                busy_total += duration
-                heappush(heap, (now + duration, sid, qidx))
-            continue
-        if k == n:
-            servers = all_servers
-        else:
-            servers = pr_choice(n, size=k, replace=False).tolist()
-        for sid in servers:
-            if busy[sid]:
-                if is_fifo:
-                    queues[sid].append((qidx, deadline))
-                else:
-                    heappush(queues[sid], (deadline, seq, qidx))
-                    seq += 1
-            else:
-                busy[sid] = True
-                tasks_total += 1
-                if now > deadline:
-                    tasks_missed += 1
-                if sidx == slen:
-                    sbuf = drain()
-                    slen = len(sbuf)
-                    sidx = 0
-                duration = sbuf[sidx]
-                sidx += 1
-                busy_total += duration
-                heappush(heap, (now + duration, sid, qidx))
-
-    # Arrivals exhausted: drain the calendar.
-    while heap:
-        now, sid, qidx = heappop(heap)
-        left = remaining[qidx] - 1
-        remaining[qidx] = left
-        if not left:
-            latency_l[qidx] = now - arrival_l[qidx]
-        queue = queues[sid]
-        if queue:
-            if is_fifo:
-                task_qidx, task_deadline = queue.popleft()
-            else:
-                entry = heappop(queue)
-                task_deadline = entry[0]
-                task_qidx = entry[2]
-            tasks_total += 1
-            if now > task_deadline:
-                tasks_missed += 1
-            if sidx == slen:
-                sbuf = drain()
-                slen = len(sbuf)
-                sidx = 0
-            duration = sbuf[sidx]
-            sidx += 1
-            busy_total += duration
-            heappush(heap, (now + duration, sid, task_qidx))
-        else:
-            busy[sid] = False
-
-    latency = np.asarray(latency_l, dtype=np.float64)
-    rejected = np.zeros(m, dtype=bool)
-    return (latency, rejected, busy_total, tasks_total, tasks_missed, now,
-            [], [], [])
-
-
 def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
                servers_list, query_budget, estimator, online: bool,
                admission, server_stream, perturbations, perturbed_servers,
@@ -346,9 +207,13 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
     indexing, the policy queue inlined as a raw ``deque`` (FIFO) or a
     raw ``(key, seq, qidx, deadline)`` heap (the EDF family), and the
     service-time sampler's block buffer indexed directly instead of one
-    ``SampleStream.next()`` call per task.  RNG call order — placement
-    draws interleaved with block refills — is exactly the generic
-    loop's, which is what keeps seeded traces identical.
+    ``SampleStream.next()`` call per task.  Between two arrivals the
+    completion heap is drained as one batched run, so the arrival
+    cursor is not re-evaluated per completion; once arrivals run out,
+    one last run at ``next_arrival = inf`` empties the calendar.  RNG
+    call order — placement draws interleaved with block refills — is
+    exactly the generic loop's, which is what keeps seeded traces
+    identical.
     """
     heappush, heappop = heapq.heappush, heapq.heappop
     infinity = float("inf")
@@ -377,18 +242,6 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
     sidx = 0
     slen = 0
 
-    # The hottest shape of all — static homogeneous budgets, no
-    # admission, no sampling, no perturbations, simulator placement —
-    # gets a further-specialized loop with every per-event guard
-    # compiled out.  FIFO and TF-EDFQ only: T-EDFQ's queue key differs
-    # from the stamped deadline, which would widen the queue entries.
-    if (use_budget and admit is None and servers_list is None
-            and single_stream and not has_perturb
-            and sample_interval is None and (is_fifo or key_is_deadline)):
-        return _fast_loop_static(
-            is_fifo, n, m, arrival_l, fanout_l, query_budget, stream0,
-            placement_rng)
-
     queues = ([deque() for _ in range(n)] if is_fifo
               else [[] for _ in range(n)])
     busy = [False] * n
@@ -415,22 +268,25 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
     queued_tasks = 0
     busy_servers = 0
 
-    while qi < m or heap:
+    while True:
         next_arrival = arrival_l[qi] if qi < m else infinity
-        if sampling:
-            next_event = heap[0][0] if heap else infinity
-            if next_arrival < next_event:
-                next_event = next_arrival
-            while next_sample <= next_event:
-                sample_times.append(next_sample)
-                sample_queued.append(queued_tasks)
-                sample_busy.append(busy_servers)
-                next_sample += sample_interval
-        if heap and heap[0][0] <= next_arrival:
-            # ----- task completion -------------------------------------
-            now, sid, qidx, duration = heappop(heap)
+        # Run down every completion at or before the next arrival.
+        while heap:
+            head = heap[0]
+            now = head[0]
+            if now > next_arrival:
+                break
+            if sampling:
+                while next_sample <= now:
+                    sample_times.append(next_sample)
+                    sample_queued.append(queued_tasks)
+                    sample_busy.append(busy_servers)
+                    next_sample += sample_interval
+            heappop(heap)
+            sid = head[1]
+            qidx = head[2]
             if online:
-                est_record(sid, duration)
+                est_record(sid, head[3])
             left = remaining[qidx] - 1
             remaining[qidx] = left
             if not left:
@@ -472,10 +328,18 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
                 busy[sid] = False
                 if sampling:
                     busy_servers -= 1
-            continue
+
+        if qi >= m:
+            break  # calendar drained, no arrivals left
 
         # ----- query arrival -------------------------------------------
         now = next_arrival
+        if sampling:
+            while next_sample <= now:
+                sample_times.append(next_sample)
+                sample_queued.append(queued_tasks)
+                sample_busy.append(busy_servers)
+                next_sample += sample_interval
         qidx = qi
         qi += 1
         if admit is not None and not admit(now):
@@ -555,8 +419,12 @@ def _finalize(config: ClusterConfig, policy, n: int, server_cdfs, classes,
               class_index, fanout, arrival, latency, rejected,
               busy_total: float, tasks_total: int, tasks_missed: int,
               now: float, sample_times, sample_queued, sample_busy,
-              rec, tracing: bool) -> SimulationResult:
-    """Shared wrap-up: warmup mask, timeline, load, result assembly."""
+              rec, tracing: bool, **fault_fields) -> SimulationResult:
+    """Shared wrap-up: warmup mask, timeline, load, result assembly.
+
+    Used by every loop on both calendars; the fault calendar passes its
+    outcome counters and masks through as ``fault_fields``.
+    """
     m = len(class_index)
     warmup_count = int(m * config.warmup_fraction)
     measured = np.zeros(m, dtype=bool)
@@ -607,6 +475,7 @@ def _finalize(config: ClusterConfig, policy, n: int, server_cdfs, classes,
         mean_service_ms=mean_service,
         timeline=timeline,
         obs=rec if tracing else None,
+        **fault_fields,
     )
 
 

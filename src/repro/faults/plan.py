@@ -36,6 +36,7 @@ the fast path / DES kernel equivalence holds under failures.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -47,6 +48,11 @@ from repro.errors import ConfigurationError
 #: Transition kinds emitted by :meth:`MaterializedFaults.transitions`.
 FAIL = "FAIL"
 RECOVER = "RECOVER"
+
+
+def _positive(value: float) -> bool:
+    """Finite and > 0; the plain ``value <= 0`` test lets NaN through."""
+    return math.isfinite(value) and value > 0
 
 
 def fault_horizon(last_arrival_ms: float) -> float:
@@ -99,9 +105,9 @@ class CrashProcess:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mtbf_ms <= 0 or self.mttr_ms <= 0:
+        if not (_positive(self.mtbf_ms) and _positive(self.mttr_ms)):
             raise ConfigurationError(
-                f"mtbf/mttr must be positive, got "
+                f"mtbf/mttr must be finite and positive, got "
                 f"({self.mtbf_ms}, {self.mttr_ms})"
             )
 
@@ -153,9 +159,10 @@ class StragglerEpisode:
             raise ConfigurationError(
                 f"need 0 <= start < end, got [{self.start_ms}, {self.end_ms})"
             )
-        if self.factor < 1.0:
+        if not (math.isfinite(self.factor) and self.factor >= 1.0):
             raise ConfigurationError(
-                f"straggler factor must be >= 1, got {self.factor}"
+                f"straggler factor must be finite and >= 1, got "
+                f"{self.factor}"
             )
 
     def applies(self, server_id: int, now: float) -> bool:
@@ -186,13 +193,14 @@ class RetryPolicy:
             raise ConfigurationError(
                 f"max_retries must be >= 1, got {self.max_retries}"
             )
-        if self.backoff_ms < 0:
+        if not (math.isfinite(self.backoff_ms) and self.backoff_ms >= 0):
             raise ConfigurationError(
-                f"backoff_ms must be >= 0, got {self.backoff_ms}"
+                f"backoff_ms must be finite and >= 0, got {self.backoff_ms}"
             )
-        if self.timeout_ms is not None and self.timeout_ms <= 0:
+        if self.timeout_ms is not None and not _positive(self.timeout_ms):
             raise ConfigurationError(
-                f"timeout_ms must be positive, got {self.timeout_ms}"
+                f"timeout_ms must be finite and positive, got "
+                f"{self.timeout_ms}"
             )
 
 
@@ -221,9 +229,9 @@ class HedgePolicy:
             raise ConfigurationError(
                 f"quantile must be in (0, 1), got {self.quantile}"
             )
-        if self.delay_ms is not None and self.delay_ms <= 0:
+        if self.delay_ms is not None and not _positive(self.delay_ms):
             raise ConfigurationError(
-                f"delay_ms must be positive, got {self.delay_ms}"
+                f"delay_ms must be finite and positive, got {self.delay_ms}"
             )
         if self.max_hedges < 1:
             raise ConfigurationError(

@@ -39,6 +39,7 @@ fast path stay bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,9 +83,10 @@ class ReplicaScorer:
     scored_fanout: bool = False
 
     def __post_init__(self) -> None:
-        if self.depth_weight < 0.0 or self.tail_weight < 0.0:
+        if not all(math.isfinite(weight) and weight >= 0.0
+                   for weight in (self.depth_weight, self.tail_weight)):
             raise ConfigurationError(
-                f"scorer weights must be >= 0, got depth_weight="
+                f"scorer weights must be finite and >= 0, got depth_weight="
                 f"{self.depth_weight}, tail_weight={self.tail_weight}"
             )
         if self.depth_weight == 0.0 and self.tail_weight == 0.0:
@@ -137,9 +139,10 @@ class HedgeSuppressionPolicy:
                 f"pressure_alpha must be in (0, 1], got "
                 f"{self.pressure_alpha}"
             )
-        if self.pressure_threshold_ms <= 0.0:
+        if not (math.isfinite(self.pressure_threshold_ms)
+                and self.pressure_threshold_ms > 0.0):
             raise ConfigurationError(
-                f"pressure_threshold_ms must be > 0, got "
+                f"pressure_threshold_ms must be finite and > 0, got "
                 f"{self.pressure_threshold_ms}"
             )
         if self.score_threshold is not None and self.score_threshold <= 0.0:
@@ -230,11 +233,12 @@ class AdaptiveHedgePolicy:
                 f"need 0 < min_factor <= 1 <= max_factor, got "
                 f"[{self.min_factor}, {self.max_factor}]"
             )
-        if (self.max_duplicate_fraction is not None
-                and self.max_duplicate_fraction <= 0.0):
+        if self.max_duplicate_fraction is not None and not (
+                math.isfinite(self.max_duplicate_fraction)
+                and self.max_duplicate_fraction > 0.0):
             raise ConfigurationError(
-                f"max_duplicate_fraction must be > 0 (or None), got "
-                f"{self.max_duplicate_fraction}"
+                f"max_duplicate_fraction must be finite and > 0 (or None), "
+                f"got {self.max_duplicate_fraction}"
             )
 
 

@@ -345,8 +345,8 @@ CALENDAR_SCENARIOS["replica_straggler_tailguard"] = lambda: ClusterConfig(
 ).with_faults(_REPLICA_STRAGGLER_PLAN).with_replicas(_REPLICA_POLICY)
 
 # Pause-mode plans (no retry, no hedge): crashes pause servers instead
-# of killing work, so the calendar runs without slots/timers at all —
-# the specialized no-mitigation fast loop is pinned by these.
+# of killing work.  These run the specialized mitigated loop with no
+# timer ever armed, so they pin its pause path.
 _PAUSE_PLAN = FaultPlan(
     downtimes=(Downtime(2, 8.113, 13.391),),
     crashes=CrashProcess(mtbf_ms=90.0, mttr_ms=5.0, server_ids=(0, 3),

@@ -16,7 +16,9 @@ A third axis pins the *specialized* mitigated timer-lane loop against
 the generic event loop: the same workload-driven config runs once
 eligible for the fast loop and once with timeline sampling enabled
 (which forces the generic loop without changing any latency), and the
-results must be bit-identical.
+results must be bit-identical.  Pause-only plans and a replica policy
+without retry or hedge run the specialized loop too, so they are
+pinned the same way.
 """
 
 import math
@@ -271,22 +273,65 @@ def workload_config(**changes):
     return config.evolve(**changes) if changes else config
 
 
-@pytest.mark.parametrize("policy_name", ["fifo", "tailguard"])
-def test_specialized_timer_lanes_match_generic_loop(policy_name):
-    """The mitigated fast loop's replica wiring (adaptive hedge timers
-    promoted from the pre-sorted deque lane to the main heap) replays
-    the generic loop exactly.  Timeline sampling forces the generic
-    loop without perturbing any event, so the two runs must agree
-    bit-for-bit."""
-    config = workload_config(policy=policy_name)
+#: Crashes and stragglers with no retry and no hedge: crashes pause
+#: servers, so the specialized loop never arms a timer.
+PAUSE_PLAN = FaultPlan(
+    crashes=CrashProcess(mtbf_ms=120.0, mttr_ms=5.0, server_ids=(1, 4),
+                         seed=3),
+    stragglers=(StragglerEpisode((2, 5), 40.0, 160.0, 3.0),),
+)
+
+#: Beyond the replica-layer runs: pause-only plans under every inlined
+#: policy, and a replica policy alone (scored fanout, no mitigations).
+TIMER_LANE_CASES = {
+    "fifo": dict(policy="fifo"),
+    "tailguard": dict(policy="tailguard"),
+    "pause-fifo": dict(policy="fifo", faults=PAUSE_PLAN, replicas=None),
+    "pause-tedf": dict(policy="t-edf", faults=PAUSE_PLAN, replicas=None),
+    "pause-tailguard": dict(policy="tailguard", faults=PAUSE_PLAN,
+                            replicas=None),
+    "scored-fanout": dict(
+        policy="tailguard", faults=PAUSE_PLAN,
+        replicas=ReplicaPolicy(scorer=ReplicaScorer(
+            tail_weight=0.5, tail_alpha=0.2, scored_fanout=True))),
+}
+
+
+@pytest.mark.parametrize("case", list(TIMER_LANE_CASES))
+def test_specialized_timer_lanes_match_generic_loop(case, monkeypatch):
+    """The mitigated fast loop replays the generic loop exactly: with
+    the replica wiring (adaptive hedge timers promoted from the
+    pre-sorted deque lane to the main heap), with pause-only plans, and
+    with a replica policy but no retry or hedge.  Timeline sampling
+    forces the generic loop without perturbing any event, so the two
+    runs must agree bit-for-bit."""
+    from repro.cluster import faultsim
+
+    calls = []
+    specialized = faultsim._fault_loop_mitigated
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return specialized(*args, **kwargs)
+
+    monkeypatch.setattr(faultsim, "_fault_loop_mitigated", spy)
+    config = workload_config(**TIMER_LANE_CASES[case])
     fast = simulate(config)
+    assert len(calls) == 1
     generic = simulate(config.evolve(timeline_interval_ms=1e6))
+    assert len(calls) == 1
     np.testing.assert_array_equal(fast.latency, generic.latency)
     np.testing.assert_array_equal(fast.failed, generic.failed)
+    assert fast.busy_time_total == generic.busy_time_total
+    assert fast.tasks_total == generic.tasks_total
+    assert fast.tasks_missed_deadline == generic.tasks_missed_deadline
+    assert fast.server_failures == generic.server_failures > 0
     assert fast.tasks_hedged == generic.tasks_hedged
     assert fast.tasks_retried == generic.tasks_retried
     assert fast.hedges_suppressed == generic.hedges_suppressed
-    assert controller_fingerprint(fast.replicas) == controller_fingerprint(
-        generic.replicas)
-    assert fast.replicas.hedges_launched > 0
-    assert len(fast.replicas.delay_trace) > 1
+    if config.replicas is not None:
+        assert controller_fingerprint(fast.replicas) == (
+            controller_fingerprint(generic.replicas))
+    if config.faults.hedge is not None:
+        assert fast.replicas.hedges_launched > 0
+        assert len(fast.replicas.delay_trace) > 1

@@ -107,6 +107,17 @@ class TestErrorMapping:
         assert err.startswith("tailguard: configuration error:")
         assert err.count("\n") == 1  # one line, no traceback
 
+    @pytest.mark.parametrize("flags", [
+        ["--retries", "2", "--backoff-ms", "nan"],
+        ["--hedge", "--hedge-delay-ms", "nan"],
+        ["--mtbf-ms", "nan"],
+    ], ids=["backoff", "hedge-delay", "mtbf"])
+    def test_nan_fault_parameter_exits_2(self, capsys, flags):
+        assert main(["faults", "--queries", "100"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tailguard: configuration error:")
+        assert "finite" in err
+
     def test_bad_slo_exits_2(self, capsys):
         assert main([
             "simulate", "--queries", "100", "--slo-ms", "-1",

@@ -15,6 +15,11 @@ from repro.faults import (
     pick_server,
 )
 from repro.faults.plan import FAIL, RECOVER
+from repro.replicas import (
+    AdaptiveHedgePolicy,
+    HedgeSuppressionPolicy,
+    ReplicaScorer,
+)
 
 
 class TestValidation:
@@ -53,6 +58,26 @@ class TestValidation:
             HedgePolicy(delay_ms=0.0)
         with pytest.raises(ConfigurationError):
             HedgePolicy(max_hedges=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("build", [
+        lambda v: RetryPolicy(backoff_ms=v),
+        lambda v: RetryPolicy(timeout_ms=v),
+        lambda v: HedgePolicy(delay_ms=v),
+        lambda v: CrashProcess(mtbf_ms=v, mttr_ms=1.0),
+        lambda v: CrashProcess(mtbf_ms=1.0, mttr_ms=v),
+        lambda v: StragglerEpisode((0,), 0.0, 10.0, v),
+        lambda v: ReplicaScorer(tail_weight=v),
+        lambda v: HedgeSuppressionPolicy(pressure_threshold_ms=v),
+        lambda v: AdaptiveHedgePolicy(max_duplicate_fraction=v),
+    ], ids=["backoff", "timeout", "hedge-delay", "mtbf", "mttr",
+            "straggler-factor", "tail-weight", "pressure-threshold",
+            "duplicate-budget"])
+    def test_non_finite_values_rejected(self, build, value):
+        # ``x < 0``-style checks are False for NaN; each field must say
+        # so up front instead of corrupting event times downstream.
+        with pytest.raises(ConfigurationError, match="finite"):
+            build(value)
 
     def test_overlapping_windows_rejected(self):
         plan = FaultPlan(downtimes=(Downtime(0, 0.0, 10.0),

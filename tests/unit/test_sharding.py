@@ -261,3 +261,40 @@ class TestPlacementBoundsInKernel:
 
         with pytest.raises(ConfigurationError, match="for fanout"):
             simulate(self._config(gold, two_servers))
+
+
+class TestPreassignedSpecsInKernel:
+    """Caller-supplied specs (e.g. a replayed trace) are validated on
+    both calendars: a negative server id must not wrap to ``n - 1``,
+    and an out-of-range id or a NaN arrival must not surface as a stray
+    IndexError."""
+
+    def _simulate(self, gold, spec, faulted):
+        from repro.distributions import Exponential
+        from repro.faults import CrashProcess, FaultPlan
+
+        first = QuerySpec(query_id=0, arrival_time=0.0, fanout=1,
+                          service_class=gold, servers=(0,))
+        plan = (FaultPlan(crashes=CrashProcess(mtbf_ms=1e9, mttr_ms=1.0))
+                if faulted else None)
+        simulate(ClusterConfig(
+            n_servers=8, policy="tailguard", specs=(first, spec), faults=plan,
+            server_cdfs={sid: Exponential(rate=1.0) for sid in range(8)},
+        ))
+
+    @pytest.mark.parametrize("faulted", [False, True],
+                             ids=["no-faults", "faults"])
+    @pytest.mark.parametrize("sid", [-1, 8])
+    def test_server_outside_cluster_rejected(self, gold, faulted, sid):
+        spec = QuerySpec(query_id=1, arrival_time=1.0, fanout=2,
+                         service_class=gold, servers=(3, sid))
+        with pytest.raises(ConfigurationError, match=r"outside \[0, 8\)"):
+            self._simulate(gold, spec, faulted)
+
+    @pytest.mark.parametrize("faulted", [False, True],
+                             ids=["no-faults", "faults"])
+    def test_nan_arrival_rejected(self, gold, faulted):
+        spec = QuerySpec(query_id=1, arrival_time=float("nan"), fanout=1,
+                         service_class=gold, servers=(2,))
+        with pytest.raises(ConfigurationError, match="not finite"):
+            self._simulate(gold, spec, faulted)
