@@ -11,9 +11,11 @@ The corpus pins both simulation paths:
 
 * the event-calendar path (``repro.cluster.simulation.simulate``,
   which routes to ``repro.cluster.faultsim`` under faults/overload)
-  across FIFO / PRIQ / T-EDFQ / TF-EDFQ / WRR × {plain, faults,
-  overload} plus heterogeneous-CDF, online-updating, admission,
-  placement, and timeline-sampling variants;
+  across FIFO / PRIQ / T-EDFQ / TF-EDFQ / WRR × {plain, traced,
+  faults} plus overload, heterogeneous-CDF, online-updating,
+  admission (plain and traced), placement-hook, and timeline-sampling
+  variants — a traced scenario's digest also pins the recorder's
+  event stream, counters, gauges, histogram and server series;
 * the composable DES-kernel path (``QueryHandler`` + ``TaskServer``
   on ``repro.sim.Environment``) on a fixed pre-placed trace, with and
   without a fault plan.
@@ -30,6 +32,7 @@ from the current kernels; review the diff before committing it.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -55,6 +58,7 @@ from repro.faults import (
     fault_horizon,
     install_faults,
 )
+from repro.obs import TraceRecorder, write_jsonl
 from repro.overload import (
     AdaptiveAdmissionPolicy,
     BreakerPolicy,
@@ -71,6 +75,8 @@ from repro.sim import Environment
 from repro.types import QuerySpec, ServiceClass
 from repro.workloads import (
     PoissonArrivals,
+    ShardedPlacement,
+    ShardMap,
     Workload,
     get_workload,
     inverse_proportional_fanout,
@@ -111,6 +117,42 @@ def _array_sha(name: str, array: Optional[np.ndarray]) -> str:
 
 def _hex(value: float) -> str:
     return float(value).hex()
+
+
+def _sha(payload: bytes) -> str:
+    return hashlib.sha256(payload).hexdigest()
+
+
+def digest_trace(rec) -> Dict:
+    """Exact digest of a recorder's output after one traced run.
+
+    Pins the event stream (the JSONL export, byte for byte), every
+    counter and gauge, the latency histogram and the sampled
+    per-server series.
+    """
+    buffer = io.StringIO()
+    write_jsonl(rec, buffer)
+    digest = {
+        "jsonl": _sha(buffer.getvalue().encode("utf-8")),
+        "n_events": len(rec.events),
+        "counters": dict(rec.counters),
+        "gauges": {name: _hex(value) for name, value in rec.gauges.items()},
+        "latency_hist": _sha(json.dumps(rec.latency_hist.snapshot(),
+                                        sort_keys=True).encode("utf-8")),
+    }
+    series = rec.server_series()
+    if series is not None:
+        digest["series_len"] = len(series)
+        digest["series"] = {
+            name: _sha(np.ascontiguousarray(
+                getattr(series, name), dtype=dtype).tobytes())
+            for name, dtype in (("time", np.float64),
+                                ("queue_len", np.int64),
+                                ("busy", np.int64),
+                                ("utilization", np.float64),
+                                ("miss_ratio", np.float64))
+        }
+    return digest
 
 
 def digest_result(result) -> Dict:
@@ -166,7 +208,10 @@ def digest_result(result) -> Dict:
         counters["replica_delay_trace"] = [
             [_hex(t), _hex(f)] for t, f in rc.delay_trace
         ]
-    return {"arrays": arrays, "counters": counters, "spot": spot}
+    digest = {"arrays": arrays, "counters": counters, "spot": spot}
+    if result.obs is not None:
+        digest["trace"] = digest_trace(result.obs)
+    return digest
 
 
 def digest_kernel_run(latencies: Dict[int, float], failed: set,
@@ -294,6 +339,25 @@ CALENDAR_SCENARIOS["timeline_tailguard"] = (
 CALENDAR_SCENARIOS["timeline_faults_fifo"] = (
     lambda: _base_config("fifo").with_faults(_FAULT_PLAN).evolve(
         timeline_interval_ms=5.0))
+
+# Traced runs: the digest's ``trace`` entry pins the recorder's whole
+# output (event stream, counters, gauges, latency histogram, sampled
+# server series), not just the latencies tracing must leave alone.
+for _policy in _POLICIES:
+    CALENDAR_SCENARIOS[f"traced_{_policy}"] = (
+        lambda p=_policy: _base_config(p, n_classes=2).with_recorder(
+            TraceRecorder(sample_interval_ms=5.0)))
+CALENDAR_SCENARIOS["traced_admission_tailguard"] = (
+    lambda: _base_config("tailguard").with_admission(
+        DeadlineMissRatioAdmission(threshold=0.05, window_tasks=200,
+                                   min_samples=50)).with_recorder(
+        TraceRecorder(sample_interval_ms=5.0)))
+# A placement hook that reads queue depths (least-loaded replica
+# selection over a replicated shard map).
+CALENDAR_SCENARIOS["placement_tailguard"] = (
+    lambda: _base_config("tailguard", n_classes=2).evolve(
+        placement=ShardedPlacement(ShardMap(24, 16, replication=2),
+                                   select="least-loaded")))
 
 # Fault-heavy at rack scale: a 100-server cluster with a cluster-wide
 # crash process, a straggler episode, retries, and hedging all active at
