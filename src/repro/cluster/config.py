@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import KW_ONLY, dataclass, fields, replace
 from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -67,8 +68,9 @@ class ServicePerturbation:
             raise ConfigurationError(
                 f"need 0 <= start < end, got [{self.start_ms}, {self.end_ms})"
             )
-        if self.factor <= 0:
-            raise ConfigurationError(f"factor must be positive, got {self.factor}")
+        if not (math.isfinite(self.factor) and self.factor > 0):
+            raise ConfigurationError(
+                f"factor must be finite and positive, got {self.factor}")
 
     def applies(self, server_id: int, now: float) -> bool:
         return (self.start_ms <= now < self.end_ms
@@ -152,11 +154,20 @@ class ClusterConfig:
             raise ConfigurationError(
                 f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}"
             )
-        if self.timeline_interval_ms is not None and self.timeline_interval_ms <= 0:
+        interval = self.timeline_interval_ms
+        if interval is not None and not (math.isfinite(interval)
+                                         and interval > 0):
             raise ConfigurationError(
-                f"timeline_interval_ms must be positive, "
-                f"got {self.timeline_interval_ms}"
+                f"timeline_interval_ms must be finite and positive, "
+                f"got {interval}"
             )
+        for perturbation in self.perturbations:
+            for sid in perturbation.server_ids:
+                if not 0 <= sid < self.n_servers:
+                    raise ConfigurationError(
+                        f"perturbation server {sid} outside "
+                        f"[0, {self.n_servers})"
+                    )
         if (self.overload is not None and self.overload.active
                 and self.admission is not None):
             raise ConfigurationError(

@@ -1,18 +1,20 @@
 """Fault-aware event-calendar simulation (the fast path under faults).
 
 :func:`repro.cluster.simulation.simulate` routes here when the config
-carries an active :class:`~repro.faults.plan.FaultPlan` or an active
-:class:`~repro.overload.OverloadPolicy` (overload-only runs use an
-empty fault plan).  The no-fault loops stay untouched; these loops
-layer crash/recovery transitions, pause/kill semantics,
-retry-with-backoff requeues, queued-copy timeouts, hedged requests,
-and the overload controller (adaptive admission, circuit breakers,
-partial-fanout degradation, CDF drift re-bootstrap) on top of the same
-model, sharing the spec/budget preparation helpers so the underlying
-trace is byte-identical.
+carries an active :class:`~repro.faults.plan.FaultPlan`, an active
+:class:`~repro.overload.OverloadPolicy` or an active
+:class:`~repro.replicas.ReplicaPolicy` (overload- and replica-only
+runs use an empty fault plan).  These loops layer crash/recovery
+transitions, pause/kill semantics, retry-with-backoff requeues,
+queued-copy timeouts, hedged requests, and the overload controller
+(adaptive admission, circuit breakers, partial-fanout degradation, CDF
+drift re-bootstrap) on top of the model the no-fault calendar runs in
+its single loop, and share that calendar's stream preparation, budget,
+placement-check and wrap-up helpers, so the underlying trace is
+byte-identical.
 
-Like the no-fault kernel, :func:`simulate_with_faults` picks one of
-two loops.  The common benchmarking shape — untraced, homogeneous,
+Unlike the no-fault calendar, :func:`simulate_with_faults` picks one
+of two loops.  The common benchmarking shape — untraced, homogeneous,
 offline estimator, default placement, FIFO/T-EDFQ/TF-EDFQ, no overload
 controller — runs :func:`_fault_loop_mitigated`, with the policy
 queues, slot records, and mitigation timers inlined as plain lists.
@@ -737,8 +739,8 @@ def simulate_with_faults(config: ClusterConfig) -> SimulationResult:
     from repro.cluster.simulation import (
         _budget_array,
         _finalize,
-        _prepare_query_arrays,
-        _prepare_specs,
+        _place,
+        _prepare_stream,
         _server_streams,
     )
 
@@ -770,18 +772,8 @@ def simulate_with_faults(config: ClusterConfig) -> SimulationResult:
     admission = config.admission
     placement = config.placement
 
-    # Array-form spec preparation whenever no caller-supplied spec list
-    # or placement hook needs the QuerySpec objects themselves — the
-    # same RNG variates, none of the per-query object churn.
-    specs = None
-    servers_list: Optional[List] = None
-    if config.specs is None and placement is None:
-        classes, class_index, fanout, arrival = _prepare_query_arrays(
-            config, spec_rng)
-    else:
-        specs, classes, class_index, fanout, arrival = _prepare_specs(
-            config, spec_rng)
-        servers_list = [spec.servers for spec in specs]
+    specs, servers_list, classes, class_index, fanout, arrival = (
+        _prepare_stream(config, spec_rng))
     m = len(class_index)
 
     # ------------------------------------------------------------------
@@ -932,10 +924,7 @@ def simulate_with_faults(config: ClusterConfig) -> SimulationResult:
                     "F" if kind == FAIL else "R", sid))
         seq += 1
 
-    placement_wants_depths = bool(
-        placement is not None and getattr(placement, "needs_queue_depths",
-                                          False)
-    )
+    placement_wants_depths = getattr(placement, "needs_queue_depths", False)
 
     busy_total = 0.0
     tasks_total = 0
@@ -1417,22 +1406,9 @@ def simulate_with_faults(config: ClusterConfig) -> SimulationResult:
         if pre is not None:
             servers = pre
         elif placement is not None:
-            spec = specs[qidx]
-            if placement_wants_depths:
-                servers = placement(spec, placement_rng, tuple(depth))
-            else:
-                servers = placement(spec, placement_rng)
-            if len(servers) != k:
-                raise ConfigurationError(
-                    f"placement returned {len(servers)} servers for fanout {k}"
-                )
-            for sid in servers:
-                if not 0 <= sid < n:
-                    raise ConfigurationError(
-                        f"placement returned server {sid} outside "
-                        f"[0, {n}) for query {qidx}; shard maps must "
-                        f"cover exactly the cluster's servers"
-                    )
+            servers = _place(placement, specs[qidx], placement_rng,
+                             tuple(depth) if placement_wants_depths
+                             else None, n, k, qidx)
         elif k == n:
             servers = all_servers
         elif k == 1:

@@ -6,10 +6,11 @@ integration test asserts equal latencies on a shared trace), but the
 implementation is a flat two-stream merge — sorted arrivals against a
 completion heap — which runs large parameter sweeps in minutes.
 
-:func:`simulate` picks one of two loops for a fault-free config: the
-generic loop (tracing, custom placement, PRIQ/WRR or custom policies)
-or :func:`_fast_loop` (everything else), which inlines the FIFO and
-EDF-family queues and guards admission, timeline sampling, online
+:func:`simulate` runs every fault-free config through one loop,
+:func:`_fast_loop`.  It inlines the FIFO queue as a raw deque and the
+EDF-family queues as raw heaps, keeps the policy's queue objects for
+PRIQ, WRR and policies added to the registry, and guards tracing, the
+placement hook, admission, timeline and series sampling, online
 estimation and perturbations with one local flag each.  Configs with
 faults, overload protection or replicas go to the two loops of
 :mod:`repro.cluster.faultsim` instead.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -57,9 +58,8 @@ from repro.workloads.generator import generate_queries, generate_query_arrays
 def _prepare_specs(config: ClusterConfig, spec_rng: np.random.Generator):
     """Materialize the spec list and its per-query arrays.
 
-    Shared by the no-fault loops below and the fault-aware loops in
-    :mod:`repro.cluster.faultsim` so both calendars see byte-identical
-    traces for a given config.  Caller-supplied specs (trace replay)
+    Shared by both calendars through :func:`_prepare_stream`, so they
+    see byte-identical traces for a given config.  Caller-supplied specs (trace replay)
     are checked here: pre-assigned servers must lie in ``[0, n)`` and
     arrival times must be finite.
     """
@@ -143,6 +143,24 @@ def _prepare_query_arrays(config: ClusterConfig,
     return classes, class_index, fanouts.astype(np.int32), times
 
 
+def _prepare_stream(config: ClusterConfig, spec_rng: np.random.Generator):
+    """The query stream for either calendar: ``(specs, servers_list,
+    classes, class_index, fanout, arrival)``.
+
+    Array form (``specs`` and ``servers_list`` are ``None``) unless a
+    spec list or a placement hook needs the :class:`QuerySpec` objects;
+    both forms draw the same RNG variates.
+    """
+    if config.specs is None and config.placement is None:
+        classes, class_index, fanout, arrival = _prepare_query_arrays(
+            config, spec_rng)
+        return None, None, classes, class_index, fanout, arrival
+    specs, classes, class_index, fanout, arrival = _prepare_specs(
+        config, spec_rng)
+    servers_list = [spec.servers for spec in specs]
+    return specs, servers_list, classes, class_index, fanout, arrival
+
+
 def _budget_array(estimator: DeadlineEstimator, classes,
                   class_index: np.ndarray, fanout: np.ndarray,
                   n: int, servers_list=None) -> List[float]:
@@ -195,36 +213,129 @@ def _server_streams(config: ClusterConfig, server_cdfs,
     return server_stream
 
 
-def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
-               servers_list, query_budget, estimator, online: bool,
-               admission, server_stream, perturbations, perturbed_servers,
-               placement_rng, sample_interval):
-    """The untraced two-stream merge, specialized for inlined queues.
+class _ServerTally:
+    """Per-server accounting behind a traced run's events and series."""
 
-    Semantically identical to the generic loop in :func:`simulate` (the
-    golden-master corpus pins this bit-for-bit) but with the per-event
-    overhead stripped: plain Python lists instead of numpy scalar
-    indexing, the policy queue inlined as a raw ``deque`` (FIFO) or a
-    raw ``(key, seq, qidx, deadline)`` heap (the EDF family), and the
-    service-time sampler's block buffer indexed directly instead of one
-    ``SampleStream.next()`` call per task.  Between two arrivals the
-    completion heap is drained as one batched run, so the arrival
-    cursor is not re-evaluated per completion; once arrivals run out,
-    one last run at ``next_arrival = inf`` empties the calendar.  RNG
-    call order — placement draws interleaved with block refills — is
-    exactly the generic loop's, which is what keeps seeded traces
-    identical.
+    __slots__ = ("tasks", "misses", "busy_ms", "busy_since")
+
+    def __init__(self, n: int) -> None:
+        self.tasks = [0] * n          # dequeued tasks per server
+        self.misses = [0] * n         # deadline misses per server
+        self.busy_ms = [0.0] * n      # completed service time per server
+        self.busy_since = [0.0] * n   # start of the in-flight task
+
+    def complete(self, rec, now: float, sid: int, qidx: int,
+                 class_name: str, duration: float, online: bool) -> None:
+        """Trace a task completion (plus the online estimator's update)."""
+        self.busy_ms[sid] += duration
+        rec.emit(TASK_COMPLETE, now, server_id=sid, query_id=qidx,
+                 class_name=class_name, extra={"duration": duration})
+        if online:
+            rec.emit(CDF_UPDATE, now, server_id=sid,
+                     extra={"observation": duration})
+
+    def start(self, rec, now: float, sid: int, qidx: int, class_name: str,
+              k: int, deadline: float, queue_len: int) -> None:
+        """Trace a task entering service: TASK_DEQUEUE, plus
+        DEADLINE_MISS when it starts after its deadline."""
+        self.tasks[sid] += 1
+        self.busy_since[sid] = now
+        rec.inc("tasks_dequeued")
+        rec.emit(TASK_DEQUEUE, now, server_id=sid, query_id=qidx,
+                 class_name=class_name, fanout=k, deadline=deadline,
+                 slack=deadline - now, extra={"queue_len": queue_len})
+        if now > deadline:
+            self.misses[sid] += 1
+            rec.inc("deadline_misses")
+            rec.emit(DEADLINE_MISS, now, server_id=sid, query_id=qidx,
+                     deadline=deadline, slack=deadline - now)
+
+    def sample(self, rec, t: float, queues, busy) -> None:
+        """One sample of the recorder's per-server series at time ``t``."""
+        tasks, misses = self.tasks, self.misses
+        busy_ms, busy_since = self.busy_ms, self.busy_since
+        rec.sample_servers(
+            t,
+            [len(queue) for queue in queues],
+            [1 if flag else 0 for flag in busy],
+            [min(1.0, (busy_ms[sid]
+                       + (t - busy_since[sid] if busy[sid] else 0.0)) / t)
+             for sid in range(len(busy))],
+            [misses[sid] / tasks[sid] if tasks[sid] else 0.0
+             for sid in range(len(busy))],
+        )
+
+
+def _heap_reorder_depth(queue, key: float) -> int:
+    """Queued tasks with a strictly later key on an inlined EDF heap;
+    counting after the push is exact, as the new entry ties its key."""
+    return sum(1 for entry in queue if key < entry[0])
+
+
+def _queue_depths(queues, busy) -> Tuple[int, ...]:
+    """Per-server depth for a placement hook: queued tasks, plus one
+    for the task in service."""
+    return tuple(len(queue) + (1 if flag else 0)
+                 for queue, flag in zip(queues, busy))
+
+
+def _place(placement, spec, placement_rng, depths, n: int, k: int,
+           qidx: int):
+    """Run a custom placement hook (with the queue depths, when given)
+    and check that it returns ``k`` servers in ``[0, n)``.  Shared by
+    both calendars."""
+    if depths is None:
+        servers = placement(spec, placement_rng)
+    else:
+        servers = placement(spec, placement_rng, depths)
+    if len(servers) != k:
+        raise ConfigurationError(
+            f"placement returned {len(servers)} servers for fanout {k}"
+        )
+    for sid in servers:
+        if not 0 <= sid < n:
+            raise ConfigurationError(
+                f"placement returned server {sid} outside "
+                f"[0, {n}) for query {qidx}; shard maps must "
+                f"cover exactly the cluster's servers"
+            )
+    return servers
+
+
+def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
+               specs, servers_list, query_budget, estimator, online: bool,
+               admission, placement, server_stream, perturbations,
+               perturbed_servers, placement_rng, sample_interval, rec):
+    """The no-fault calendar: sorted arrivals merged against a
+    completion heap, with plain-list state.
+
+    FIFO queues are raw ``deque`` objects and the EDF family raw
+    ``(key, seq, qidx, deadline)`` heaps; PRIQ, WRR and policies added
+    to the registry keep the policy's queue objects.  Completions up to
+    the next arrival drain as one batched run, and service samples are
+    read straight from the sampler's block buffer.  Tracing (``rec`` is
+    a recorder or ``None``), the placement hook, admission, sampling,
+    online estimation and perturbations cost one local flag check per
+    site when off; no closure or comprehension here reads loop state
+    (that would make hot locals cell variables), so traced and
+    placement work goes through module-level helpers.  RNG call order
+    and float accumulation order are fixed; the golden-master corpus
+    pins them.
     """
     heappush, heappop = heapq.heappush, heapq.heappop
     infinity = float("inf")
     nan = float("nan")
 
     is_fifo = type(policy) is FIFOPolicy
+    inline_heap = type(policy) in (TEDFPolicy, TFEDFPolicy)
+    queue_objects = not is_fifo and not inline_heap
     key_is_deadline = type(policy) is TFEDFPolicy
+    queue_key = policy.queue_key
     arrival_l = arrival.tolist()
     fanout_l = fanout.tolist()
     class_index_l = class_index.tolist()
     slo_by_class = [cls.slo_ms for cls in classes]
+    class_names = [cls.name for cls in classes]
     est_homogeneous = estimator.homogeneous
     est_deadline = estimator.deadline
     est_record = estimator.record
@@ -232,6 +343,7 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
     record_task = admission.record_task if admission is not None else None
     use_budget = query_budget is not None
     has_perturb = bool(perturbed_servers)
+    wants_depths = bool(getattr(placement, "needs_queue_depths", False))
 
     # One block buffer indexed inline when every server shares a stream
     # (the homogeneous common case); bound ``next`` methods otherwise.
@@ -242,8 +354,11 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
     sidx = 0
     slen = 0
 
-    queues = ([deque() for _ in range(n)] if is_fifo
-              else [[] for _ in range(n)])
+    new_queue = (deque if is_fifo else list if inline_heap
+                 else policy.create_queue)
+    queues = []
+    for _ in range(n):
+        queues.append(new_queue())
     busy = [False] * n
     all_servers = tuple(range(n))
     pr_integers = placement_rng.integers
@@ -260,8 +375,17 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
     tasks_total = 0
     tasks_missed = 0
 
-    sampling = sample_interval is not None
-    next_sample = sample_interval if sampling else infinity
+    tracing = rec is not None
+    if tracing:
+        emit = rec.emit
+        tally = _ServerTally(n)
+    obs_interval = rec.sample_interval_ms if tracing else None
+    # Timeline and series samples share one flag; whichever is off
+    # keeps its next sample time at infinity.  State between events is
+    # constant, so each event first samples every boundary it passed.
+    sampling = sample_interval is not None or obs_interval is not None
+    next_sample = sample_interval if sample_interval is not None else infinity
+    next_obs = obs_interval if obs_interval is not None else infinity
     sample_times: List[float] = []
     sample_queued: List[int] = []
     sample_busy: List[int] = []
@@ -282,19 +406,35 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
                     sample_queued.append(queued_tasks)
                     sample_busy.append(busy_servers)
                     next_sample += sample_interval
+                while next_obs <= now:
+                    tally.sample(rec, next_obs, queues, busy)
+                    next_obs += obs_interval
             heappop(heap)
             sid = head[1]
             qidx = head[2]
             if online:
                 est_record(sid, head[3])
+            if tracing:
+                tally.complete(rec, now, sid, qidx,
+                               class_names[class_index_l[qidx]], head[3],
+                               online)
             left = remaining[qidx] - 1
             remaining[qidx] = left
             if not left:
                 latency_l[qidx] = now - arrival_l[qidx]
+                if tracing:
+                    rec.observe_latency(latency_l[qidx])
+                    rec.inc("queries_completed")
+                    emit(QUERY_COMPLETE, now, query_id=qidx,
+                         class_name=class_names[class_index_l[qidx]],
+                         fanout=fanout_l[qidx],
+                         extra={"latency": latency_l[qidx]})
             queue = queues[sid]
             if queue:
                 if is_fifo:
                     task_qidx, task_deadline = queue.popleft()
+                elif queue_objects:
+                    task_qidx, task_deadline = queue.pop()
                 else:
                     entry = heappop(queue)
                     task_qidx = entry[2]
@@ -308,6 +448,11 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
                     record_task(False, now)
                 if sampling:
                     queued_tasks -= 1
+                if tracing:
+                    tally.start(rec, now, sid, task_qidx,
+                                class_names[class_index_l[task_qidx]],
+                                fanout_l[task_qidx], task_deadline,
+                                len(queue))
                 if single_stream:
                     if sidx == slen:
                         sbuf = stream0.drain_block()
@@ -328,6 +473,8 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
                 busy[sid] = False
                 if sampling:
                     busy_servers -= 1
+                if tracing:
+                    emit(SERVER_IDLE, now, server_id=sid)
 
         if qi >= m:
             break  # calendar drained, no arrivals left
@@ -340,23 +487,38 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
                 sample_queued.append(queued_tasks)
                 sample_busy.append(busy_servers)
                 next_sample += sample_interval
+            while next_obs <= now:
+                tally.sample(rec, next_obs, queues, busy)
+                next_obs += obs_interval
         qidx = qi
         qi += 1
+        k = fanout_l[qidx]
+        if tracing:
+            class_name = class_names[class_index_l[qidx]]
+            rec.inc("queries_arrived")
+            emit(QUERY_ARRIVE, now, query_id=qidx, class_name=class_name,
+                 fanout=k)
         if admit is not None and not admit(now):
             rejected_idx.append(qidx)
+            if tracing:
+                rec.inc("queries_rejected")
+                emit(QUERY_REJECTED, now, query_id=qidx,
+                     class_name=class_name, fanout=k,
+                     extra={"miss_ratio": admission.miss_ratio()})
             continue
 
-        k = fanout_l[qidx]
         pre = servers_list[qidx] if servers_list is not None else None
         if pre is not None:
             servers = pre
+        elif placement is not None:
+            servers = _place(placement, specs[qidx], placement_rng,
+                             _queue_depths(queues, busy) if wants_depths
+                             else None, n, k, qidx)
         elif k == n:
             servers = all_servers
         elif k == 1:
             servers = (int(pr_integers(n)),)
         else:
-            # .tolist() yields the same ints as the generic loop's
-            # per-element int() casts, without the genexpr frame.
             servers = pr_choice(n, size=k, replace=False).tolist()
 
         if use_budget and pre is None:
@@ -367,19 +529,36 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
         else:
             deadline = est_deadline(now, classes[class_index_l[qidx]],
                                     servers=servers)
-        if not is_fifo:
+        if queue_objects:
+            keyval = queue_key(now, classes[class_index_l[qidx]], deadline)
+        elif not is_fifo:
             keyval = (deadline if key_is_deadline
                       else now + slo_by_class[class_index_l[qidx]])
 
         for sid in servers:
             if busy[sid]:
+                queue = queues[sid]
                 if is_fifo:
-                    queues[sid].append((qidx, deadline))
+                    queue.append((qidx, deadline))
+                elif queue_objects:
+                    if tracing:
+                        depth = queue.reorder_depth(keyval)
+                    queue.push((qidx, deadline), keyval)
                 else:
-                    heappush(queues[sid], (keyval, seq, qidx, deadline))
+                    heappush(queue, (keyval, seq, qidx, deadline))
                     seq += 1
                 if sampling:
                     queued_tasks += 1
+                if tracing:
+                    if is_fifo:
+                        depth = 0
+                    elif inline_heap:
+                        depth = _heap_reorder_depth(queue, keyval)
+                    emit(TASK_ENQUEUE, now, server_id=sid, query_id=qidx,
+                         class_name=class_name, fanout=k, deadline=deadline,
+                         slack=deadline - now,
+                         extra={"queue_len": len(queue),
+                                "reorder_depth": depth})
             else:
                 busy[sid] = True
                 tasks_total += 1
@@ -391,6 +570,10 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
                         record_task(True, now)
                 elif record_task is not None:
                     record_task(False, now)
+                if tracing:
+                    emit(SERVER_BUSY, now, server_id=sid)
+                    tally.start(rec, now, sid, qidx, class_name, k, deadline,
+                                0)
                 if single_stream:
                     if sidx == slen:
                         sbuf = stream0.drain_block()
@@ -482,7 +665,7 @@ def _finalize(config: ClusterConfig, policy, n: int, server_cdfs, classes,
 def simulate(config: ClusterConfig) -> SimulationResult:
     """Run one simulation and collect per-query statistics.
 
-    Fault-free configs run the optimized two-stream merge below;
+    Fault-free configs run the two-stream merge in :func:`_fast_loop`;
     configs with an active :class:`~repro.faults.FaultPlan`, an active
     :class:`~repro.overload.OverloadPolicy`, or an active
     :class:`~repro.replicas.ReplicaPolicy` route through the
@@ -511,27 +694,10 @@ def simulate(config: ClusterConfig) -> SimulationResult:
 
     rec = config.recorder
     tracing = rec is not None and rec.enabled
-    admission = config.admission
     placement = config.placement
 
-    # The specialized fast loop covers the common benchmarking shape:
-    # untraced, default placement, and a policy whose queue the kernel
-    # can inline (a deque for FIFO, a raw heap for the EDF family).
-    # Everything else — tracing, custom placement, PRIQ/WRR or custom
-    # policies — runs the generic loop below, unchanged.
-    fast = (not tracing and placement is None
-            and type(policy) in (FIFOPolicy, TEDFPolicy, TFEDFPolicy))
-
-    specs = None
-    servers_list: Optional[List] = None
-    if fast and config.specs is None:
-        classes, class_index, fanout, arrival = _prepare_query_arrays(
-            config, spec_rng)
-    else:
-        specs, classes, class_index, fanout, arrival = _prepare_specs(
-            config, spec_rng)
-        servers_list = [spec.servers for spec in specs]
-    m = len(class_index)
+    specs, servers_list, classes, class_index, fanout, arrival = (
+        _prepare_stream(config, spec_rng))
 
     perturbations = tuple(config.perturbations)
     perturbed_servers = (
@@ -540,279 +706,18 @@ def simulate(config: ClusterConfig) -> SimulationResult:
     )
 
     online = estimator.online_enabled
-    homogeneous_fast = estimator.homogeneous and not online and placement is None
-
     query_budget: List[float] = []
-    if homogeneous_fast:
+    if estimator.homogeneous and not online and placement is None:
         query_budget = _budget_array(estimator, classes, class_index,
                                      fanout, n, servers_list)
-    use_budget_array = bool(query_budget)
 
-    if fast:
-        (latency, rejected, busy_total, tasks_total, tasks_missed, now,
-         sample_times, sample_queued, sample_busy) = _fast_loop(
-            policy, n, m, classes, class_index, fanout, arrival,
-            servers_list, query_budget if use_budget_array else None,
-            estimator, online, admission, server_stream,
-            perturbations, perturbed_servers, placement_rng,
-            config.timeline_interval_ms)
-        return _finalize(config, policy, n, server_cdfs, classes,
-                         class_index, fanout, arrival, latency, rejected,
-                         busy_total, tasks_total, tasks_missed, now,
-                         sample_times, sample_queued, sample_busy,
-                         rec, tracing)
-
-    remaining = fanout.astype(np.int64).copy()
-    latency = np.full(m, np.nan)
-    rejected = np.zeros(m, dtype=bool)
-
-    # ------------------------------------------------------------------
-    # Server state.
-    # ------------------------------------------------------------------
-    queues = [policy.create_queue() for _ in range(n)]
-    busy = [False] * n
-    all_servers = tuple(range(n))
-
-    heap: List[Tuple[float, int, int, float]] = []  # (finish, sid, qidx, duration)
-    push, pop = heapq.heappush, heapq.heappop
-
-    placement_wants_depths = bool(
-        placement is not None and getattr(placement, "needs_queue_depths",
-                                          False)
-    )
-
-    def perturbed_duration(sid: int, start: float, duration: float) -> float:
-        for perturbation in perturbations:
-            if perturbation.applies(sid, start):
-                duration *= perturbation.factor
-        return duration
-
-    busy_total = 0.0
-    tasks_total = 0
-    tasks_missed = 0
-    now = 0.0
-    qi = 0
-    infinity = float("inf")
-
-    # Optional timeline sampling: state *between* events is constant, so
-    # emit samples for every interval boundary the clock steps over.
-    sample_interval = config.timeline_interval_ms
-    next_sample = sample_interval if sample_interval is not None else infinity
-    sample_times: List[float] = []
-    sample_queued: List[int] = []
-    sample_busy: List[int] = []
-    queued_tasks = 0
-    busy_servers = 0
-
-    # ------------------------------------------------------------------
-    # Observability.  ``tracing`` is a local bool, so a run without a
-    # recorder pays one boolean check per instrumented site and nothing
-    # else — no event objects, no per-server accounting.
-    # ------------------------------------------------------------------
-    obs_interval = rec.sample_interval_ms if tracing else None
-    next_obs = obs_interval if obs_interval is not None else infinity
-    if tracing:
-        server_tasks = [0] * n       # dequeued tasks per server
-        server_misses = [0] * n      # deadline misses per server
-        server_busy_ms = [0.0] * n   # completed service time per server
-        server_busy_since = [0.0] * n  # start of the in-flight task
-
-    while qi < m or heap:
-        next_arrival = arrival[qi] if qi < m else infinity
-        if sample_interval is not None or obs_interval is not None:
-            next_event = min(next_arrival, heap[0][0] if heap else infinity)
-            if sample_interval is not None:
-                while next_sample <= next_event:
-                    sample_times.append(next_sample)
-                    sample_queued.append(queued_tasks)
-                    sample_busy.append(busy_servers)
-                    next_sample += sample_interval
-            if obs_interval is not None:
-                while next_obs <= next_event:
-                    t = next_obs
-                    rec.sample_servers(
-                        t,
-                        [len(queue) for queue in queues],
-                        [1 if flag else 0 for flag in busy],
-                        [min(1.0, (server_busy_ms[sid]
-                                   + (t - server_busy_since[sid]
-                                      if busy[sid] else 0.0)) / t)
-                         for sid in range(n)],
-                        [server_misses[sid] / server_tasks[sid]
-                         if server_tasks[sid] else 0.0 for sid in range(n)],
-                    )
-                    next_obs += obs_interval
-        if heap and heap[0][0] <= next_arrival:
-            # ----- task completion -------------------------------------
-            finish, sid, qidx, duration = pop(heap)
-            now = finish
-            if online:
-                estimator.record(sid, duration)
-            if tracing:
-                server_busy_ms[sid] += duration
-                rec.emit(TASK_COMPLETE, now, server_id=sid, query_id=qidx,
-                         class_name=classes[class_index[qidx]].name,
-                         extra={"duration": duration})
-                if online:
-                    rec.emit(CDF_UPDATE, now, server_id=sid,
-                             extra={"observation": duration})
-            remaining[qidx] -= 1
-            if remaining[qidx] == 0:
-                latency[qidx] = now - arrival[qidx]
-                if tracing:
-                    rec.observe_latency(latency[qidx])
-                    rec.inc("queries_completed")
-                    rec.emit(QUERY_COMPLETE, now, query_id=qidx,
-                             class_name=classes[class_index[qidx]].name,
-                             fanout=int(fanout[qidx]),
-                             extra={"latency": latency[qidx]})
-            queue = queues[sid]
-            if len(queue) > 0:
-                task_qidx, task_deadline = queue.pop()
-                queued_tasks -= 1
-                tasks_total += 1
-                missed = now > task_deadline
-                if missed:
-                    tasks_missed += 1
-                if admission is not None:
-                    admission.record_task(missed, now)
-                if tracing:
-                    server_tasks[sid] += 1
-                    server_busy_since[sid] = now
-                    rec.inc("tasks_dequeued")
-                    rec.emit(TASK_DEQUEUE, now, server_id=sid,
-                             query_id=task_qidx,
-                             class_name=classes[class_index[task_qidx]].name,
-                             fanout=int(fanout[task_qidx]),
-                             deadline=task_deadline,
-                             slack=task_deadline - now,
-                             extra={"queue_len": len(queue)})
-                    if missed:
-                        server_misses[sid] += 1
-                        rec.inc("deadline_misses")
-                        rec.emit(DEADLINE_MISS, now, server_id=sid,
-                                 query_id=task_qidx,
-                                 deadline=task_deadline,
-                                 slack=task_deadline - now)
-                next_duration = server_stream[sid].next()
-                if sid in perturbed_servers:
-                    next_duration = perturbed_duration(sid, now, next_duration)
-                busy_total += next_duration
-                push(heap, (now + next_duration, sid, task_qidx, next_duration))
-            else:
-                busy[sid] = False
-                busy_servers -= 1
-                if tracing:
-                    rec.emit(SERVER_IDLE, now, server_id=sid)
-            continue
-
-        # ----- query arrival -------------------------------------------
-        now = next_arrival
-        qidx = qi
-        qi += 1
-        if tracing:
-            rec.inc("queries_arrived")
-            rec.emit(QUERY_ARRIVE, now, query_id=qidx,
-                     class_name=classes[class_index[qidx]].name,
-                     fanout=int(fanout[qidx]))
-        if admission is not None and not admission.admit(now):
-            rejected[qidx] = True
-            if tracing:
-                rec.inc("queries_rejected")
-                rec.emit(QUERY_REJECTED, now, query_id=qidx,
-                         class_name=classes[class_index[qidx]].name,
-                         fanout=int(fanout[qidx]),
-                         extra={"miss_ratio": admission.miss_ratio()})
-            continue
-
-        spec = specs[qidx]
-        k = int(fanout[qidx])
-        cls = classes[class_index[qidx]]
-
-        if spec.servers is not None:
-            servers = spec.servers
-        elif placement is not None:
-            if placement_wants_depths:
-                depths = tuple(
-                    len(queues[sid]) + (1 if busy[sid] else 0)
-                    for sid in range(n)
-                )
-                servers = placement(spec, placement_rng, depths)
-            else:
-                servers = placement(spec, placement_rng)
-            if len(servers) != k:
-                raise ConfigurationError(
-                    f"placement returned {len(servers)} servers for fanout {k}"
-                )
-            for sid in servers:
-                if not 0 <= sid < n:
-                    raise ConfigurationError(
-                        f"placement returned server {sid} outside "
-                        f"[0, {n}) for query {qidx}; shard maps must "
-                        f"cover exactly the cluster's servers"
-                    )
-        elif k == n:
-            servers = all_servers
-        elif k == 1:
-            servers = (int(placement_rng.integers(n)),)
-        else:
-            servers = tuple(
-                int(s) for s in placement_rng.choice(n, size=k, replace=False)
-            )
-
-        if use_budget_array and spec.servers is None:
-            deadline = now + query_budget[qidx]
-        elif estimator.homogeneous:
-            deadline = estimator.deadline(now, cls, fanout=k)
-        else:
-            deadline = estimator.deadline(now, cls, servers=servers)
-
-        key = policy.queue_key(now, cls, deadline)
-        for sid in servers:
-            if busy[sid]:
-                if tracing:
-                    depth = queues[sid].reorder_depth(key)
-                    queues[sid].push((qidx, deadline), key)
-                    queued_tasks += 1
-                    rec.emit(TASK_ENQUEUE, now, server_id=sid, query_id=qidx,
-                             class_name=cls.name, fanout=k, deadline=deadline,
-                             slack=deadline - now,
-                             extra={"queue_len": len(queues[sid]),
-                                    "reorder_depth": depth})
-                else:
-                    queues[sid].push((qidx, deadline), key)
-                    queued_tasks += 1
-            else:
-                busy[sid] = True
-                busy_servers += 1
-                tasks_total += 1
-                missed = now > deadline
-                if missed:
-                    tasks_missed += 1
-                    if admission is not None:
-                        admission.record_task(True, now)
-                elif admission is not None:
-                    admission.record_task(False, now)
-                if tracing:
-                    server_tasks[sid] += 1
-                    server_busy_since[sid] = now
-                    rec.inc("tasks_dequeued")
-                    rec.emit(SERVER_BUSY, now, server_id=sid)
-                    rec.emit(TASK_DEQUEUE, now, server_id=sid, query_id=qidx,
-                             class_name=cls.name, fanout=k, deadline=deadline,
-                             slack=deadline - now, extra={"queue_len": 0})
-                    if missed:
-                        server_misses[sid] += 1
-                        rec.inc("deadline_misses")
-                        rec.emit(DEADLINE_MISS, now, server_id=sid,
-                                 query_id=qidx, deadline=deadline,
-                                 slack=deadline - now)
-                duration = server_stream[sid].next()
-                if sid in perturbed_servers:
-                    duration = perturbed_duration(sid, now, duration)
-                busy_total += duration
-                push(heap, (now + duration, sid, qidx, duration))
-
+    (latency, rejected, busy_total, tasks_total, tasks_missed, now,
+     sample_times, sample_queued, sample_busy) = _fast_loop(
+        policy, n, len(class_index), classes, class_index, fanout, arrival,
+        specs, servers_list, query_budget or None, estimator, online,
+        config.admission, placement, server_stream, perturbations,
+        perturbed_servers, placement_rng, config.timeline_interval_ms,
+        rec if tracing else None)
     return _finalize(config, policy, n, server_cdfs, classes, class_index,
                      fanout, arrival, latency, rejected, busy_total,
                      tasks_total, tasks_missed, now, sample_times,

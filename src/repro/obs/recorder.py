@@ -14,6 +14,7 @@ wired once and reused): every method is a no-op and ``enabled`` is
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -91,9 +92,11 @@ class TraceRecorder:
     def __init__(self, sample_interval_ms: Optional[float] = None,
                  histogram: Optional[LogHistogram] = None,
                  strict: bool = True) -> None:
-        if sample_interval_ms is not None and sample_interval_ms <= 0:
+        if sample_interval_ms is not None and not (
+                math.isfinite(sample_interval_ms) and sample_interval_ms > 0):
             raise ConfigurationError(
-                f"sample_interval_ms must be positive, got {sample_interval_ms}"
+                f"sample_interval_ms must be finite and positive, "
+                f"got {sample_interval_ms}"
             )
         self.sample_interval_ms = sample_interval_ms
         self.latency_hist = histogram if histogram is not None else LogHistogram()

@@ -14,7 +14,10 @@ from repro.core.deadline import DeadlineEstimator
 from repro.core.handler import QueryHandler
 from repro.core.policies import get_policy
 from repro.core.server import TaskServer
-from repro.experiments.setups import paper_single_class_config
+from repro.experiments.setups import (
+    paper_single_class_config,
+    paper_two_class_config,
+)
 from repro.obs import (
     DEADLINE_MISS,
     QUERY_ARRIVE,
@@ -33,6 +36,8 @@ from repro.sim.engine import Environment
 from repro.types import ServiceClass
 from repro.workloads import (
     PoissonArrivals,
+    ShardedPlacement,
+    ShardMap,
     Workload,
     generate_queries,
     inverse_proportional_fanout,
@@ -133,12 +138,28 @@ class TestClusterTracing:
         assert np.array_equal(base.rejected, nulled.rejected)
         assert base.tasks_missed_deadline == nulled.tasks_missed_deadline
 
-    def test_traced_run_numbers_identical_to_untraced(self):
-        """Tracing observes the run; it must never perturb it."""
-        base = simulate(traced_config(None))
-        traced = simulate(traced_config(TraceRecorder(sample_interval_ms=1.0)))
+    @pytest.mark.parametrize("variant", [
+        "fifo", "priq", "t-edf", "tailguard", "wrr", "least-loaded"])
+    def test_traced_run_numbers_identical_to_untraced(self, variant):
+        """Tracing observes the run; it must never perturb it — under
+        every registry policy (two classes, so PRIQ and WRR reorder)
+        and under a placement hook that reads queue depths."""
+        config = paper_two_class_config(
+            "masstree", 0.6, n_servers=100, n_queries=2_000, seed=7,
+            policy="tailguard" if variant == "least-loaded" else variant,
+        ).at_load(0.85)
+        if variant == "least-loaded":
+            config = config.evolve(placement=ShardedPlacement(
+                ShardMap(200, 100, replication=2), select="least-loaded"))
+        base = simulate(config)
+        traced = simulate(config.with_recorder(
+            TraceRecorder(sample_interval_ms=1.0)))
+        assert traced.obs is not None and traced.obs.events
         assert np.array_equal(base.latency, traced.latency, equal_nan=True)
+        assert base.tasks_total == traced.tasks_total
         assert base.tasks_missed_deadline == traced.tasks_missed_deadline
+        assert base.busy_time_total == traced.busy_time_total
+        assert base.duration == traced.duration
 
 
 class TestAdmissionTracing:

@@ -118,6 +118,19 @@ class TestErrorMapping:
         assert err.startswith("tailguard: configuration error:")
         assert "finite" in err
 
+    @pytest.mark.parametrize("interval", ["nan", "inf", "-1"])
+    def test_bad_sample_interval_exits_2(self, capsys, tmp_path, interval):
+        """A NaN or infinite interval used to sample nothing, silently."""
+        assert main([
+            "trace", "run", "--trace-out", str(tmp_path / "run.jsonl"),
+            "--format", "jsonl", "--queries", "100",
+            "--sample-interval", interval,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tailguard: configuration error:")
+        assert "finite" in err
+        assert not (tmp_path / "run.jsonl").exists()
+
     def test_bad_slo_exits_2(self, capsys):
         assert main([
             "simulate", "--queries", "100", "--slo-ms", "-1",

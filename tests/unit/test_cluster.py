@@ -146,6 +146,14 @@ class TestSimulateBasics:
         with pytest.raises(ConfigurationError):
             simulate(config)
 
+    def test_calendar_loop_captures_no_locals(self):
+        """A closure, generator expression or (before Python 3.12)
+        comprehension in the loop that reads its state turns those hot
+        locals into cell variables, slower on every event."""
+        from repro.cluster.simulation import _fast_loop
+
+        assert _fast_loop.__code__.co_cellvars == ()
+
     def test_duplicate_class_names_rejected(self):
         a = ServiceClass("same", 1.0)
         b = ServiceClass("same", 2.0)

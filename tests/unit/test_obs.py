@@ -172,8 +172,9 @@ class TestTraceRecorder:
         assert rec.gauges == {"g": 0.5}
 
     def test_sample_interval_validation(self):
-        with pytest.raises(ConfigurationError):
-            TraceRecorder(sample_interval_ms=0.0)
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="finite"):
+                TraceRecorder(sample_interval_ms=bad)
 
     def test_event_ordering_follows_engine_tie_break(self):
         """Events at equal sim-times keep the engine's deterministic

@@ -16,13 +16,26 @@ def gold():
 
 
 class TestServicePerturbation:
-    def test_validation(self):
+    def test_validation(self, gold):
         with pytest.raises(ConfigurationError):
             ServicePerturbation((), 0.0, 1.0, 2.0)
         with pytest.raises(ConfigurationError):
             ServicePerturbation((0,), 5.0, 1.0, 2.0)
         with pytest.raises(ConfigurationError):
             ServicePerturbation((0,), 0.0, 1.0, 0.0)
+        for factor in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigurationError, match="finite"):
+                ServicePerturbation((0,), 0.0, 1.0, factor)
+        # Server ids outside [0, n) would silently never apply.
+        for sid in (100, 500, -1):
+            with pytest.raises(ConfigurationError, match="outside"):
+                ClusterConfig(
+                    n_servers=100, policy="fifo",
+                    specs=[QuerySpec(0, 0.0, 1, gold, servers=(0,))],
+                    server_cdfs={s: Deterministic(1.0) for s in range(100)},
+                    perturbations=(
+                        ServicePerturbation((0, sid), 0.0, 1.0, 2.0),),
+                )
 
     def test_applies_window_and_servers(self):
         perturbation = ServicePerturbation((1, 2), 10.0, 20.0, 3.0)

@@ -24,8 +24,9 @@ class TestTimelineSampling:
         assert simulate(small_config).timeline is None
 
     def test_interval_validation(self, small_config):
-        with pytest.raises(ConfigurationError):
-            replace(small_config, timeline_interval_ms=0.0)
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="finite"):
+                replace(small_config, timeline_interval_ms=bad)
 
     def test_sample_spacing(self, gold):
         specs = [QuerySpec(0, 0.0, 1, gold, servers=(0,))]
