@@ -52,7 +52,6 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.results import SimulationResult
 from repro.core.deadline import DeadlineEstimator
 from repro.core.policies import FIFOPolicy, TEDFPolicy, TFEDFPolicy
-from repro.errors import ConfigurationError
 from repro.faults.plan import FAIL, FaultPlan, fault_horizon, pick_server
 from repro.obs.events import (
     DEADLINE_MISS,

@@ -59,9 +59,9 @@ def _prepare_specs(config: ClusterConfig, spec_rng: np.random.Generator):
     """Materialize the spec list and its per-query arrays.
 
     Shared by both calendars through :func:`_prepare_stream`, so they
-    see byte-identical traces for a given config.  Caller-supplied specs (trace replay)
-    are checked here: pre-assigned servers must lie in ``[0, n)`` and
-    arrival times must be finite.
+    see byte-identical traces for a given config.  Caller-supplied
+    specs (trace replay) are checked here: pre-assigned servers must
+    lie in ``[0, n)`` and arrival times must be finite.
     """
     if config.specs is not None:
         specs = sorted(config.specs, key=lambda s: s.arrival_time)
@@ -376,9 +376,7 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
     tasks_missed = 0
 
     tracing = rec is not None
-    if tracing:
-        emit = rec.emit
-        tally = _ServerTally(n)
+    tally = _ServerTally(n) if tracing else None
     obs_interval = rec.sample_interval_ms if tracing else None
     # Timeline and series samples share one flag; whichever is off
     # keeps its next sample time at infinity.  State between events is
@@ -425,10 +423,10 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
                 if tracing:
                     rec.observe_latency(latency_l[qidx])
                     rec.inc("queries_completed")
-                    emit(QUERY_COMPLETE, now, query_id=qidx,
-                         class_name=class_names[class_index_l[qidx]],
-                         fanout=fanout_l[qidx],
-                         extra={"latency": latency_l[qidx]})
+                    rec.emit(QUERY_COMPLETE, now, query_id=qidx,
+                             class_name=class_names[class_index_l[qidx]],
+                             fanout=fanout_l[qidx],
+                             extra={"latency": latency_l[qidx]})
             queue = queues[sid]
             if queue:
                 if is_fifo:
@@ -474,7 +472,7 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
                 if sampling:
                     busy_servers -= 1
                 if tracing:
-                    emit(SERVER_IDLE, now, server_id=sid)
+                    rec.emit(SERVER_IDLE, now, server_id=sid)
 
         if qi >= m:
             break  # calendar drained, no arrivals left
@@ -496,15 +494,15 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
         if tracing:
             class_name = class_names[class_index_l[qidx]]
             rec.inc("queries_arrived")
-            emit(QUERY_ARRIVE, now, query_id=qidx, class_name=class_name,
-                 fanout=k)
+            rec.emit(QUERY_ARRIVE, now, query_id=qidx,
+                     class_name=class_name, fanout=k)
         if admit is not None and not admit(now):
             rejected_idx.append(qidx)
             if tracing:
                 rec.inc("queries_rejected")
-                emit(QUERY_REJECTED, now, query_id=qidx,
-                     class_name=class_name, fanout=k,
-                     extra={"miss_ratio": admission.miss_ratio()})
+                rec.emit(QUERY_REJECTED, now, query_id=qidx,
+                         class_name=class_name, fanout=k,
+                         extra={"miss_ratio": admission.miss_ratio()})
             continue
 
         pre = servers_list[qidx] if servers_list is not None else None
@@ -529,11 +527,13 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
         else:
             deadline = est_deadline(now, classes[class_index_l[qidx]],
                                     servers=servers)
-        if queue_objects:
-            keyval = queue_key(now, classes[class_index_l[qidx]], deadline)
-        elif not is_fifo:
-            keyval = (deadline if key_is_deadline
-                      else now + slo_by_class[class_index_l[qidx]])
+        if not is_fifo:
+            if queue_objects:
+                keyval = queue_key(now, classes[class_index_l[qidx]],
+                                   deadline)
+            else:
+                keyval = (deadline if key_is_deadline
+                          else now + slo_by_class[class_index_l[qidx]])
 
         for sid in servers:
             if busy[sid]:
@@ -554,11 +554,11 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
                         depth = 0
                     elif inline_heap:
                         depth = _heap_reorder_depth(queue, keyval)
-                    emit(TASK_ENQUEUE, now, server_id=sid, query_id=qidx,
-                         class_name=class_name, fanout=k, deadline=deadline,
-                         slack=deadline - now,
-                         extra={"queue_len": len(queue),
-                                "reorder_depth": depth})
+                    rec.emit(TASK_ENQUEUE, now, server_id=sid,
+                             query_id=qidx, class_name=class_name, fanout=k,
+                             deadline=deadline, slack=deadline - now,
+                             extra={"queue_len": len(queue),
+                                    "reorder_depth": depth})
             else:
                 busy[sid] = True
                 tasks_total += 1
@@ -571,9 +571,9 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
                 elif record_task is not None:
                     record_task(False, now)
                 if tracing:
-                    emit(SERVER_BUSY, now, server_id=sid)
-                    tally.start(rec, now, sid, qidx, class_name, k, deadline,
-                                0)
+                    rec.emit(SERVER_BUSY, now, server_id=sid)
+                    tally.start(rec, now, sid, qidx, class_name, k,
+                                deadline, 0)
                 if single_stream:
                     if sidx == slen:
                         sbuf = stream0.drain_block()

@@ -29,8 +29,8 @@ Three pieces:
   builder, text renderer, and a dependency-free JSON-schema checker.
 
 The hot paths (:mod:`repro.cluster.simulation`,
-:mod:`repro.core.server`) only ever pay a single ``is not None`` /
-``enabled`` check when tracing is off.
+:mod:`repro.core.server`) pay one ``is not None`` / ``enabled`` check
+per instrumentation site when tracing is off.
 """
 
 from repro.obs.events import (
