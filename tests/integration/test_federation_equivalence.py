@@ -10,6 +10,8 @@ federation a *composition* of the golden-pinned kernels rather than a
 new simulator.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,11 @@ from repro import (
     simulate_federation,
 )
 from repro.experiments.setups import paper_single_class_config
+from repro.workloads import PoissonArrivals
+from tests.integration.test_replica_equivalence import (
+    controller_fingerprint,
+    workload_config as replica_config,
+)
 
 
 def _shard(policy: str, *, faults=None, seed: int = 7):
@@ -123,3 +130,29 @@ def test_multi_shard_merge_restores_global_arrival_order():
             assert counts[s] == 0
         else:
             assert result.latency.size == counts[s]
+
+
+def test_multi_shard_replica_counters_survive_worker_pool():
+    """Per-shard replica counters come home from the pool intact.
+
+    Four shards running a replica policy (suppression plus adaptive
+    hedging) over a busy fault plan: every shard runs in a worker, so
+    a result field the pool fails to carry shows up as a per-shard or
+    merged mismatch against the serial run.
+    """
+    template = replica_config()
+    fed = FederationConfig(
+        tuple(template.with_seed(s) for s in range(4)),
+        workload=replace(template.workload,
+                         arrivals=PoissonArrivals(4 * 2.6)),
+        n_queries=4_000, seed=5,
+    )
+    serial = simulate_federation(fed)
+    pooled = simulate_federation(fed, workers=2)
+    serial_counts = [r.hedges_suppressed for r in serial.shards]
+    assert all(count > 0 for count in serial_counts)
+    assert [r.hedges_suppressed for r in pooled.shards] == serial_counts
+    assert pooled.merged.hedges_suppressed == serial.merged.hedges_suppressed
+    for s, p in zip(serial.shards, pooled.shards):
+        assert controller_fingerprint(p.replicas) == (
+            controller_fingerprint(s.replicas))
