@@ -24,37 +24,15 @@ process pool while preserving the exact serial semantics:
 
 ``workers=None`` (or ``0``/``1``) means serial in-process execution —
 the default everywhere, preserving historical behavior and costing
-nothing.  ``workers=-1`` means one worker per available CPU.
+nothing.  ``workers=-1`` means one worker per available CPU.  With two
+or more workers every task runs in the pool, and each result comes
+home by plain pickle as the same object a serial run builds.
 
-Three mechanisms keep the pool overhead proportional to useful work:
-
-* **Persistent pools** — :func:`get_pool` keeps one executor alive per
-  worker count for the life of the process (shut down atexit), so a
-  bisection's dozens of probe rounds — and repeated
-  :func:`run_simulations` calls — reuse warm workers instead of paying
-  pool spin-up per call.
-* **Per-worker estimator pre-warm** — workers keep a
-  :class:`~repro.core.deadline.DeadlineEstimator` cache keyed by the
-  config's server-CDF signature.  Repeated tasks over the same cluster
-  (every probe of a max-load search, every point of a sweep) reuse one
-  estimator whose quantile-inversion memo is already populated.  Only
-  configs that would build a default estimator anyway are eligible
-  (``estimator is None``, no active overload policy — drift
-  re-bootstrap mutates estimator state mid-run), and the cached
-  estimator is state-free across runs there, so results stay
-  bit-identical to the serial loop.
-* **Shared-memory result return** — :func:`run_simulations` workers
-  write every ``SimulationResult`` array (per-query columns, fault
-  masks, coverage, timeline) into one ``multiprocessing.shared_memory``
-  segment and send home only a small descriptor, skipping the
-  pickle round-trip for the bulk payload.  The worker unregisters the
-  segment from its resource tracker and the parent unlinks it after
-  copying out, so ownership passes cleanly.  Any shm failure (no
-  ``/dev/shm``, size limits) falls back to plain pickling.
-
-Chunk sizes come from *measured* per-task cost: the first config runs
-in-parent as a timing pilot and :func:`choose_chunksize` balances
-per-chunk dispatch overhead against load-balance granularity.
+Pools are persistent: :func:`get_pool` keeps one executor alive per
+worker count for the life of the process (shut down atexit), so a
+bisection's dozens of probe rounds — and repeated
+:func:`run_simulations` calls — reuse warm workers instead of paying
+pool spin-up per call.
 
 The pool uses the ``fork`` start method where available (Linux): the
 workload objects, distributions, and estimators in a config are cheap
@@ -64,20 +42,13 @@ to pickle, and fork avoids re-importing NumPy per worker.
 from __future__ import annotations
 
 import atexit
-import hashlib
 import multiprocessing
 import os
-import pickle
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.cluster.config import ClusterConfig
-from repro.cluster.results import SimulationResult, Timeline, merge_obs_home
+from repro.cluster.results import SimulationResult, merge_obs_home
 from repro.cluster.simulation import simulate
 from repro.errors import ExperimentError
 
@@ -100,20 +71,6 @@ def resolve_workers(workers: Optional[int]) -> int:
     return int(workers)
 
 
-def make_executor(workers: int) -> ProcessPoolExecutor:
-    """A fresh process pool using ``fork`` where the platform offers it.
-
-    Most callers want :func:`get_pool` (persistent, pre-warmed) — this
-    remains for one-shot uses that manage their own shutdown.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context(
-        "fork" if "fork" in methods else None
-    )
-    return ProcessPoolExecutor(max_workers=workers, mp_context=context,
-                               initializer=_init_worker)
-
-
 # ----------------------------------------------------------------------
 # Persistent pools
 # ----------------------------------------------------------------------
@@ -123,11 +80,11 @@ _POOLS: Dict[int, ProcessPoolExecutor] = {}
 def get_pool(workers: int) -> ProcessPoolExecutor:
     """The persistent executor for this worker count.
 
-    Created on first use and kept alive for the life of the process
+    Created on first use, with the ``fork`` start method where the
+    platform offers it, and kept alive for the life of the process
     (all pools are shut down atexit), so bisection searches and
-    repeated fan-out calls reuse warm workers — and the workers keep
-    their estimator caches across calls.  A pool whose workers died
-    (``BrokenProcessPool``) is replaced transparently.
+    repeated fan-out calls reuse warm workers.  A pool whose workers
+    died (``BrokenProcessPool``) is replaced transparently.
     """
     if workers < 2:
         raise ExperimentError(f"pooled execution needs >= 2 workers, got {workers}")
@@ -136,7 +93,11 @@ def get_pool(workers: int) -> ProcessPoolExecutor:
         pool.shutdown(wait=False, cancel_futures=True)
         pool = None
     if pool is None:
-        pool = make_executor(workers)
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context(
+            "fork" if "fork" in methods else None
+        )
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
         _POOLS[workers] = pool
     return pool
 
@@ -151,224 +112,6 @@ def shutdown_pools() -> None:
 atexit.register(shutdown_pools)
 
 
-def choose_chunksize(n_tasks: int, pool_size: int,
-                     per_task_s: Optional[float] = None,
-                     target_chunk_s: float = 0.25) -> int:
-    """Chunk size from measured per-task cost.
-
-    Two pressures pull in opposite directions: big chunks amortize the
-    per-chunk pickle/dispatch round-trip, small chunks keep the pool
-    load-balanced.  Given a measured ``per_task_s`` the chunk aims for
-    ``target_chunk_s`` of work, capped by the even-split bound
-    (``n_tasks / (pool_size * 4)``) so no worker can starve behind one
-    oversized chunk.  Without a measurement (``None`` or non-positive,
-    e.g. a clock-resolution-zero pilot) only the even-split bound
-    applies — the historical static heuristic.
-    """
-    if n_tasks <= 0:
-        raise ExperimentError(f"need >= 1 task, got {n_tasks}")
-    if pool_size <= 0:
-        raise ExperimentError(f"need >= 1 worker, got {pool_size}")
-    balanced = max(1, n_tasks // (pool_size * 4))
-    if per_task_s is None or per_task_s <= 0:
-        return balanced
-    by_cost = max(1, int(target_chunk_s / per_task_s))
-    return max(1, min(balanced, by_cost))
-
-
-# ----------------------------------------------------------------------
-# Per-worker estimator pre-warm
-# ----------------------------------------------------------------------
-_ESTIMATOR_CACHE: Dict[bytes, object] = {}
-
-
-def _init_worker() -> None:
-    """Pool initializer: fresh per-process estimator cache.
-
-    Under ``fork`` the child inherits the parent's module state, so the
-    cache is cleared explicitly to keep every worker generation
-    independent.
-    """
-    _ESTIMATOR_CACHE.clear()
-
-
-def _estimator_key(config: ClusterConfig) -> bytes:
-    """A content hash of everything the default estimator depends on.
-
-    The estimator is a pure function of the per-server CDFs, so two
-    configs with byte-identical pickled CDF maps (every probe of one
-    search, every load point of one sweep) share one cached estimator.
-    """
-    payload = pickle.dumps(
-        tuple(sorted(config.resolve_server_cdfs().items())),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    return hashlib.sha256(payload).digest()
-
-
-def _prewarm(config: ClusterConfig) -> ClusterConfig:
-    """Swap in this worker's cached estimator where that is invisible.
-
-    Eligible configs are exactly those for which ``simulate`` would
-    build a throwaway default ``DeadlineEstimator``: no explicit
-    estimator (an explicit one may be online/stateful by caller intent)
-    and no active overload policy (KS-drift re-bootstrap mutates the
-    estimator mid-run).  The default estimator is offline and
-    ``record``/``rebootstrap`` are never invoked on it, so reuse across
-    tasks only warms its quantile-inversion memo — results are
-    bit-identical with or without the cache.
-    """
-    if config.estimator is not None:
-        return config
-    if config.overload is not None and config.overload.active:
-        return config
-    key = _estimator_key(config)
-    estimator = _ESTIMATOR_CACHE.get(key)
-    if estimator is None:
-        from repro.core.deadline import DeadlineEstimator
-
-        if len(_ESTIMATOR_CACHE) >= 32:  # bound a long-lived worker
-            _ESTIMATOR_CACHE.clear()
-        estimator = DeadlineEstimator(dict(config.resolve_server_cdfs()))
-        _ESTIMATOR_CACHE[key] = estimator
-    return config.evolve(estimator=estimator)
-
-
-# ----------------------------------------------------------------------
-# Shared-memory result protocol
-# ----------------------------------------------------------------------
-#: SimulationResult array fields shipped through shared memory, in
-#: layout order.  Optional fields (``failed``, ``coverage``,
-#: ``degraded``) keep their None-ness via a None dtype in the spec.
-_RESULT_ARRAYS = ("class_index", "fanout", "arrival", "latency",
-                  "rejected", "measured", "failed", "coverage", "degraded")
-_TIMELINE_ARRAYS = ("time", "queued_tasks", "busy_servers")
-#: Everything else rides the normal pickle return (scalars, classes,
-#: the obs recorder, the overload controller).
-_SCALAR_FIELDS = ("policy_name", "n_servers", "seed", "offered_load",
-                  "classes", "tasks_total", "tasks_missed_deadline",
-                  "busy_time_total", "duration", "mean_service_ms", "obs",
-                  "tasks_failed", "tasks_retried", "tasks_hedged",
-                  "tasks_cancelled", "server_failures", "degraded_queries",
-                  "shed_tasks", "breaker_trips", "cdf_rebootstraps",
-                  "overload")
-
-
-@dataclass
-class _PackedResult:
-    """Descriptor of a ``SimulationResult`` parked in shared memory."""
-
-    shm_name: str
-    #: (field, dtype str or None, shape, byte offset) per array field.
-    arrays: Tuple[Tuple[str, Optional[str], Tuple[int, ...], int], ...]
-    #: Same, for the timeline arrays; None when the run had no timeline.
-    timeline_arrays: Optional[Tuple[Tuple[str, str, Tuple[int, ...], int], ...]]
-    #: The non-array constructor fields, pickled normally.
-    fields: Dict[str, object]
-
-
-def _pack_result(result: SimulationResult):
-    """Worker side: park the arrays in one shm segment.
-
-    Returns the raw result unchanged (plain-pickle fallback) when the
-    platform cannot hand over a segment.  The segment is unregistered
-    from this process's resource tracker before returning: the parent
-    re-registers on attach and unlinks after copying out, so exactly
-    one owner is responsible at every instant.
-    """
-    specs: List[Tuple[str, Optional[str], Tuple[int, ...], int]] = []
-    arrays: List[np.ndarray] = []
-    total = 0
-    for name in _RESULT_ARRAYS:
-        arr = getattr(result, name)
-        if arr is None:
-            specs.append((name, None, (), 0))
-            continue
-        arr = np.ascontiguousarray(arr)
-        specs.append((name, arr.dtype.str, arr.shape, total))
-        arrays.append(arr)
-        total += arr.nbytes
-    tspecs: Optional[List[Tuple[str, str, Tuple[int, ...], int]]] = None
-    if result.timeline is not None:
-        tspecs = []
-        for name in _TIMELINE_ARRAYS:
-            arr = np.ascontiguousarray(getattr(result.timeline, name))
-            tspecs.append((name, arr.dtype.str, arr.shape, total))
-            arrays.append(arr)
-            total += arr.nbytes
-    try:
-        shm = shared_memory.SharedMemory(create=True, size=max(1, total))
-    except (OSError, ValueError):
-        return result
-    offset = 0
-    for arr in arrays:
-        dst = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf,
-                         offset=offset)
-        dst[...] = arr
-        offset += arr.nbytes
-    name = shm.name
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-    shm.close()
-    return _PackedResult(
-        shm_name=name,
-        arrays=tuple(specs),
-        timeline_arrays=tuple(tspecs) if tspecs is not None else None,
-        fields={f: getattr(result, f) for f in _SCALAR_FIELDS},
-    )
-
-
-def _unpack_result(payload) -> SimulationResult:
-    """Parent side: rebuild the result and release the segment."""
-    if isinstance(payload, SimulationResult):
-        return payload
-    shm = shared_memory.SharedMemory(name=payload.shm_name)
-    try:
-        kwargs = dict(payload.fields)
-        for name, dtype, shape, offset in payload.arrays:
-            if dtype is None:
-                kwargs[name] = None
-                continue
-            view = np.ndarray(shape, dtype=dtype, buffer=shm.buf,
-                              offset=offset)
-            kwargs[name] = view.copy()
-        timeline = None
-        if payload.timeline_arrays is not None:
-            columns = {}
-            for name, dtype, shape, offset in payload.timeline_arrays:
-                view = np.ndarray(shape, dtype=dtype, buffer=shm.buf,
-                                  offset=offset)
-                columns[name] = view.copy()
-            timeline = Timeline(**columns)
-        kwargs["timeline"] = timeline
-        return SimulationResult(**kwargs)
-    finally:
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
-
-
-# ----------------------------------------------------------------------
-# Worker entry points.  Top-level functions so they pickle by reference
-# under every start method.
-# ----------------------------------------------------------------------
-def _simulate_task(config: ClusterConfig):
-    return _pack_result(simulate(_prewarm(config)))
-
-
-def _feasibility_task(args) -> bool:
-    """One (load, seed) probe: does this run meet every SLO?"""
-    config, load, seed, min_samples, fanout_buckets = args
-    config = _prewarm(config.at_load(load).with_seed(seed))
-    result = simulate(config)
-    return result.meets_all_slos(min_samples=min_samples,
-                                 fanout_buckets=fanout_buckets)
-
-
 # ----------------------------------------------------------------------
 # Simulation fan-out
 # ----------------------------------------------------------------------
@@ -380,15 +123,13 @@ def run_simulations(
 
     Results preserve input order and are bit-identical to running
     ``simulate`` over the configs serially (each config's ``seed``
-    fully determines its run).  When a config carries an enabled
-    recorder, the worker-side recorder is merged into the parent-side
-    recorder object and the returned result is re-bound to the parent,
-    so shared-recorder aggregation matches serial semantics.
-
-    The first config runs in-parent as a timing pilot whose measured
-    cost sizes the pool chunks (:func:`choose_chunksize`); the rest fan
-    out over the persistent pool and return through the shared-memory
-    result protocol.
+    fully determines its run).  With two or more workers every config
+    runs in the persistent pool, in chunks of ``n // (4 * workers)``
+    configs (at least one) so that no worker starves behind one
+    oversized chunk.  When a config carries an enabled recorder, the
+    worker-side recorder is merged into the parent-side recorder
+    object and the returned result is re-bound to the parent, so
+    shared-recorder aggregation matches serial semantics.
     """
     config_list = list(configs)
     if not config_list:
@@ -397,42 +138,12 @@ def run_simulations(
     if n_workers == 1:
         return tuple(simulate(config) for config in config_list)
 
-    traced = any(
-        config.recorder is not None
-        and getattr(config.recorder, "enabled", False)
-        for config in config_list
-    )
-    if traced and len(config_list) > 1:
-        # No in-parent pilot here: running config[0] first would write
-        # its events into the shared recorder *before* the remaining
-        # configs are pickled for the pool, and every worker-side
-        # recorder copy would then carry (and merge home again) the
-        # pilot's events.  Fan the whole batch out with the static
-        # chunk bound instead.
-        pool = get_pool(n_workers)
-        chunksize = choose_chunksize(len(config_list), n_workers)
-        results: List[SimulationResult] = [
-            _unpack_result(payload)
-            for payload in pool.map(_simulate_task, config_list,
-                                    chunksize=chunksize)
-        ]
-    else:
-        # In-parent timing pilot: the measured cost of the first config
-        # sizes the chunks for the rest.
-        start = time.perf_counter()
-        first = simulate(config_list[0])
-        per_task_s = time.perf_counter() - start
-        results = [first]
-        rest = config_list[1:]
-        if rest:
-            pool = get_pool(n_workers)
-            chunksize = choose_chunksize(len(rest), n_workers, per_task_s)
-            results.extend(
-                _unpack_result(payload)
-                for payload in pool.map(_simulate_task, rest,
-                                        chunksize=chunksize)
-            )
-
+    chunksize = max(1, len(config_list) // (4 * n_workers))
+    # Collect every result before merging any recorder home: the pool
+    # pickles queued configs lazily, and a recorder shared with a
+    # config not yet sent must not carry merged events into it.
+    results = list(get_pool(n_workers).map(simulate, config_list,
+                                            chunksize=chunksize))
     return tuple(
         merge_obs_home(config.recorder, result)
         for config, result in zip(config_list, results)
@@ -442,6 +153,17 @@ def run_simulations(
 # ----------------------------------------------------------------------
 # Feasibility probes (the max-load search's inner loop)
 # ----------------------------------------------------------------------
+def _feasibility_task(args) -> bool:
+    """One (load, seed) probe: does this run meet every SLO?
+
+    Top-level so it pickles by reference under every start method.
+    """
+    config, load, seed, min_samples, fanout_buckets = args
+    result = simulate(config.at_load(load).with_seed(seed))
+    return result.meets_all_slos(min_samples=min_samples,
+                                 fanout_buckets=fanout_buckets)
+
+
 def probe_feasible(
     pool: ProcessPoolExecutor,
     config: ClusterConfig,

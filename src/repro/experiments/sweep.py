@@ -10,7 +10,7 @@ from repro.core.admission import AdmissionController
 from repro.cluster.results import SimulationResult
 from repro.cluster.simulation import simulate
 from repro.errors import ExperimentError
-from repro.experiments.parallel import _prewarm, get_pool, resolve_workers
+from repro.experiments.parallel import get_pool, resolve_workers
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def _sweep_point_task(args) -> SweepPoint:
     config, load, admission_factory = args
     if admission_factory is not None:
         config = config.with_admission(admission_factory())
-    return _point(simulate(_prewarm(config)), load)
+    return _point(simulate(config), load)
 
 
 def load_sweep(

@@ -38,10 +38,9 @@ def simulate_federation(config: FederationConfig,
                         workers: Optional[int] = None) -> FederationResult:
     """Run one federation simulation.
 
-    ``workers`` fans the per-shard runs over the persistent
-    shared-memory worker pool (see
-    :func:`repro.experiments.run_simulations`); ``None`` or 1 runs
-    them serially in-process.
+    ``workers`` fans the per-shard runs over the persistent worker
+    pool (see :func:`repro.experiments.run_simulations`); ``None`` or 1
+    runs them serially in-process.
     """
     root = np.random.default_rng(config.seed)
     spec_rng, router_rng, _reserved = root.spawn(3)

@@ -1,224 +1,16 @@
-"""Unit coverage for the persistent-pool machinery.
+"""Unit coverage for the persistent-pool registry.
 
-Three mechanisms from :mod:`repro.experiments.parallel` are pinned
-here at the unit level (the cross-process determinism contracts live
-in tests/integration/test_parallel_runner.py):
-
-* :func:`choose_chunksize` — chunk sizing from measured per-task cost,
-  including the degenerate shapes (one task, fewer tasks than workers)
-  and the static fallback when no measurement exists;
-* the shared-memory result protocol (``_pack_result`` /
-  ``_unpack_result``) — every ``SimulationResult`` array, including
-  the optional fault/overload masks and the timeline, must survive
-  the no-pickle path bit for bit, and None-ness must round-trip;
-* the worker-side estimator pre-warm (``_prewarm``) — cache hits
-  across configs of one cluster, ineligibility rules, and
-  bit-identical simulation output with and without the warmed
-  estimator.
+:func:`repro.experiments.parallel.get_pool` keeps one executor per
+worker count for the life of the process and refuses serial worker
+counts.  The cross-process determinism contracts (every result field
+identical to a serial run) live in
+tests/integration/test_parallel_runner.py.
 """
 
-import pickle
-
-import numpy as np
 import pytest
 
-from repro.cluster.results import SimulationResult, Timeline
 from repro.errors import ExperimentError
-from repro.experiments.parallel import (
-    _estimator_key,
-    _pack_result,
-    _prewarm,
-    _unpack_result,
-    choose_chunksize,
-    get_pool,
-)
-from repro.experiments.setups import paper_single_class_config
-from repro.types import ServiceClass
-
-
-class TestChooseChunksize:
-    def test_single_task(self):
-        assert choose_chunksize(1, 4) == 1
-        assert choose_chunksize(1, 4, per_task_s=1e-6) == 1
-
-    def test_fewer_tasks_than_workers(self):
-        assert choose_chunksize(3, 8) == 1
-        assert choose_chunksize(3, 8, per_task_s=1e-6) == 1
-
-    def test_static_fallback_without_measurement(self):
-        # The historical even-split bound: n / (pool * 4).
-        assert choose_chunksize(100, 4) == 6
-        assert choose_chunksize(100, 4, per_task_s=None) == 6
-        assert choose_chunksize(100, 4, per_task_s=0.0) == 6
-        assert choose_chunksize(100, 4, per_task_s=-1.0) == 6
-
-    def test_cheap_tasks_capped_by_balance_bound(self):
-        # 0.25s / 1e-4s = 2500 tasks per chunk by cost, but the
-        # even-split bound keeps every worker fed.
-        assert choose_chunksize(100, 4, per_task_s=1e-4) == 6
-
-    def test_expensive_tasks_get_singleton_chunks(self):
-        assert choose_chunksize(1000, 4, per_task_s=10.0) == 1
-
-    def test_cost_bound_engages_between_extremes(self):
-        # 0.25 / 0.01 = 25 < 1000 // 16 = 62: the measured cost wins.
-        assert choose_chunksize(1000, 4, per_task_s=0.01) == 25
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ExperimentError):
-            choose_chunksize(0, 4)
-        with pytest.raises(ExperimentError):
-            choose_chunksize(10, 0)
-
-
-def _synthetic_result(with_optional: bool, with_timeline: bool
-                      ) -> SimulationResult:
-    """A result with every array field populated (or deliberately None)."""
-    m = 11
-    rng = np.random.default_rng(7)
-    latency = rng.exponential(2.0, size=m)
-    latency[2] = np.nan
-    kwargs = {}
-    if with_optional:
-        kwargs.update(
-            failed=rng.random(m) < 0.3,
-            coverage=rng.random(m),
-            degraded=rng.random(m) < 0.2,
-        )
-    timeline = None
-    if with_timeline:
-        timeline = Timeline(
-            time=np.linspace(0.0, 30.0, 9),
-            queued_tasks=rng.integers(0, 50, size=9),
-            busy_servers=rng.integers(0, 3, size=9),
-        )
-    return SimulationResult(
-        policy_name="tailguard",
-        n_servers=3,
-        seed=9,
-        offered_load=0.5,
-        classes=(ServiceClass("single", 0.8),),
-        class_index=np.zeros(m, dtype=np.int64),
-        fanout=rng.integers(1, 4, size=m),
-        arrival=np.cumsum(rng.exponential(1.0, size=m)),
-        latency=latency,
-        rejected=rng.random(m) < 0.1,
-        measured=np.ones(m, dtype=bool),
-        tasks_total=21,
-        tasks_missed_deadline=2,
-        busy_time_total=12.5,
-        duration=30.0,
-        mean_service_ms=1.5,
-        timeline=timeline,
-        tasks_failed=1,
-        tasks_retried=2,
-        tasks_hedged=3,
-        tasks_cancelled=4,
-        server_failures=5,
-        degraded_queries=1,
-        shed_tasks=2,
-        breaker_trips=1,
-        cdf_rebootstraps=0,
-        **kwargs,
-    )
-
-
-_ARRAY_FIELDS = ("class_index", "fanout", "arrival", "latency",
-                 "rejected", "measured", "failed", "coverage", "degraded")
-_SCALARS = ("policy_name", "n_servers", "seed", "offered_load", "classes",
-            "tasks_total", "tasks_missed_deadline", "busy_time_total",
-            "duration", "mean_service_ms", "tasks_failed", "tasks_retried",
-            "tasks_hedged", "tasks_cancelled", "server_failures",
-            "degraded_queries", "shed_tasks", "breaker_trips",
-            "cdf_rebootstraps")
-
-
-class TestSharedMemoryRoundTrip:
-    @pytest.mark.parametrize("with_optional", [True, False])
-    @pytest.mark.parametrize("with_timeline", [True, False])
-    def test_all_arrays_survive(self, with_optional, with_timeline):
-        original = _synthetic_result(with_optional, with_timeline)
-        packed = _pack_result(original)
-        assert not isinstance(packed, SimulationResult), \
-            "expected the shm path, not the pickle fallback"
-        # The descriptor crosses the process boundary as a pickle; the
-        # arrays stay behind in the segment.
-        transported = pickle.loads(pickle.dumps(packed))
-        rebuilt = _unpack_result(transported)
-
-        for name in _ARRAY_FIELDS:
-            src = getattr(original, name)
-            dst = getattr(rebuilt, name)
-            if src is None:
-                assert dst is None
-                continue
-            assert dst.dtype == src.dtype
-            np.testing.assert_array_equal(dst, src)
-        if with_timeline:
-            for name in ("time", "queued_tasks", "busy_servers"):
-                np.testing.assert_array_equal(
-                    getattr(rebuilt.timeline, name),
-                    getattr(original.timeline, name))
-        else:
-            assert rebuilt.timeline is None
-        for name in _SCALARS:
-            assert getattr(rebuilt, name) == getattr(original, name)
-
-    def test_segment_is_released(self):
-        original = _synthetic_result(True, True)
-        packed = _pack_result(original)
-        _unpack_result(packed)
-        # The parent unlinked the segment after copying out: a second
-        # attach must fail.
-        from multiprocessing import shared_memory
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=packed.shm_name)
-
-    def test_unpack_passes_plain_results_through(self):
-        original = _synthetic_result(False, False)
-        assert _unpack_result(original) is original
-
-
-class TestEstimatorPrewarm:
-    @pytest.fixture(scope="class")
-    def config(self):
-        return paper_single_class_config("masstree", 0.8, n_queries=400)
-
-    def test_cache_hit_across_probe_configs(self, config):
-        # Every probe of one max-load search shares the cluster's CDFs,
-        # so the cache must hand back the same estimator object.
-        a = _prewarm(config.at_load(0.3).with_seed(1))
-        b = _prewarm(config.at_load(0.7).with_seed(2))
-        assert a.estimator is not None
-        assert a.estimator is b.estimator
-
-    def test_key_ignores_load_and_seed(self, config):
-        key_a = _estimator_key(config.at_load(0.3).with_seed(1))
-        key_b = _estimator_key(config.at_load(0.7).with_seed(2))
-        assert key_a == key_b
-
-    def test_explicit_estimator_is_left_alone(self, config):
-        from repro.core.deadline import DeadlineEstimator
-
-        explicit = DeadlineEstimator(dict(config.resolve_server_cdfs()))
-        pinned = config.evolve(estimator=explicit)
-        assert _prewarm(pinned) is pinned
-
-    def test_prewarmed_run_is_bit_identical(self, config):
-        from repro.cluster.simulation import simulate
-        from repro.faults import CrashProcess, FaultPlan, RetryPolicy
-
-        plan = FaultPlan(
-            crashes=CrashProcess(mtbf_ms=80.0, mttr_ms=5.0, seed=11),
-            retry=RetryPolicy(max_retries=1, backoff_ms=0.7),
-        )
-        cold = config.at_load(0.5).with_seed(13).with_faults(plan)
-        baseline = simulate(cold)
-        warmed = simulate(_prewarm(cold))
-        np.testing.assert_array_equal(warmed.latency, baseline.latency)
-        np.testing.assert_array_equal(warmed.failed, baseline.failed)
-        assert warmed.busy_time_total == baseline.busy_time_total
-        assert warmed.tasks_total == baseline.tasks_total
+from repro.experiments.parallel import get_pool
 
 
 class TestPersistentPools:
