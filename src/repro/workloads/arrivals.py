@@ -9,6 +9,7 @@ times.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -21,8 +22,9 @@ class ArrivalProcess:
     """Renewal arrival process defined by an interarrival distribution."""
 
     def __init__(self, rate: float) -> None:
-        if rate <= 0:
-            raise ConfigurationError(f"arrival rate must be positive, got {rate}")
+        if not 0 < rate < math.inf:
+            raise ConfigurationError(
+                f"arrival rate must be finite and positive, got {rate}")
         self.rate = float(rate)
 
     def interarrival_distribution(self) -> Distribution:

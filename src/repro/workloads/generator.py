@@ -9,6 +9,7 @@ simulator or for trace recording.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterator, List, Tuple
 
@@ -34,8 +35,8 @@ def arrival_rate_for_load(
     each query contributes ``E[k_f]`` tasks of mean service ``E[S]``
     spread over ``N`` servers.
     """
-    if not 0 < load:
-        raise ConfigurationError(f"load must be positive, got {load}")
+    if not 0 < load < math.inf:
+        raise ConfigurationError(f"load must be finite and positive, got {load}")
     if n_servers < 1:
         raise ConfigurationError(f"need >= 1 server, got {n_servers}")
     if mean_service_ms <= 0 or mean_fanout <= 0:

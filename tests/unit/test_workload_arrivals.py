@@ -16,6 +16,10 @@ class TestPoissonArrivals:
     def test_rate_validation(self):
         with pytest.raises(ConfigurationError):
             PoissonArrivals(0.0)
+        # NaN drew NaN arrival times; inf put every arrival at t=0.
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="finite"):
+                PoissonArrivals(rate)
 
     def test_mean_interarrival(self, rng):
         process = PoissonArrivals(4.0)

@@ -48,6 +48,9 @@ class TestLoadMath:
             arrival_rate_for_load(0.0, 100, 0.2, 2.0)
         with pytest.raises(ConfigurationError):
             arrival_rate_for_load(0.4, 0, 0.2, 2.0)
+        for load in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="finite"):
+                arrival_rate_for_load(load, 100, 0.2, 2.0)
 
     def test_workload_at_load(self, workload):
         rated = workload.at_load(0.5, 100)
