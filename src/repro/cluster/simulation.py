@@ -12,7 +12,7 @@ EDF-family queues as raw heaps, keeps the policy's queue objects for
 PRIQ, WRR and policies added to the registry, and guards tracing, the
 placement hook, admission, timeline and series sampling, online
 estimation and perturbations with one local flag each.  Configs with
-faults, overload protection or replicas go to the two loops of
+faults, overload protection or replicas go to the one loop of
 :mod:`repro.cluster.faultsim` instead.
 
 Model recap (paper Fig. 2):

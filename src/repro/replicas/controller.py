@@ -4,8 +4,7 @@ A :class:`ReplicaController` is built from a
 :class:`~repro.replicas.policy.ReplicaPolicy` and wired — verbatim, the
 same class — into the DES kernel (:class:`repro.faults.FaultManager` /
 :class:`repro.core.handler.QueryHandler`) and the event-calendar fast
-path (:mod:`repro.cluster.faultsim`, generic loop and the specialized
-timer-lane loop).  It is RNG-free: every decision is a pure function of
+path (the one loop of :mod:`repro.cluster.faultsim`).  It is RNG-free: every decision is a pure function of
 the feed history (task starts, winning completions, hedge outcomes) and
 the instantaneous depth/up vectors, so identical event order on the two
 paths yields bit-identical decisions — the cross-path equivalence suite

@@ -12,13 +12,11 @@ agree on which queries failed, and drive their shared
 (the controller is RNG-free, so equal feed order means equal counters,
 equal suppression tallies, and an equal hedge-delay trace).
 
-A third axis pins the *specialized* mitigated timer-lane loop against
-the generic event loop: the same workload-driven config runs once
-eligible for the fast loop and once with timeline sampling enabled
-(which forces the generic loop without changing any latency), and the
-results must be bit-identical.  Pause-only plans and a replica policy
-without retry or hedge run the specialized loop too, so they are
-pinned the same way.
+A third axis checks that timeline sampling only observes the fault
+calendar's one loop: the same workload-driven config runs once plain
+and once with timeline sampling enabled, both through that loop, and
+the results must be bit-identical — with the replica wiring, with
+pause-only plans, and with a replica policy but no retry or hedge.
 """
 
 import math
@@ -274,7 +272,7 @@ def workload_config(**changes):
 
 
 #: Crashes and stragglers with no retry and no hedge: crashes pause
-#: servers, so the specialized loop never arms a timer.
+#: servers, so the fault loop never arms a timer.
 PAUSE_PLAN = FaultPlan(
     crashes=CrashProcess(mtbf_ms=120.0, mttr_ms=5.0, server_ids=(1, 4),
                          seed=3),
@@ -299,39 +297,40 @@ TIMER_LANE_CASES = {
 
 @pytest.mark.parametrize("case", list(TIMER_LANE_CASES))
 def test_specialized_timer_lanes_match_generic_loop(case, monkeypatch):
-    """The mitigated fast loop replays the generic loop exactly: with
-    the replica wiring (adaptive hedge timers promoted from the
-    pre-sorted deque lane to the main heap), with pause-only plans, and
-    with a replica policy but no retry or hedge.  Timeline sampling
-    forces the generic loop without perturbing any event, so the two
-    runs must agree bit-for-bit."""
+    """Timeline sampling leaves the fault loop's results unchanged:
+    with the replica wiring (adaptive hedge timers on the main heap
+    rather than the pre-sorted deque lane), with pause-only plans, and
+    with a replica policy but no retry or hedge.  Both runs go through
+    the one loop and must agree bit-for-bit."""
     from repro.cluster import faultsim
 
     calls = []
-    specialized = faultsim._fault_loop_mitigated
+    loop = faultsim._fault_loop
 
     def spy(*args, **kwargs):
         calls.append(1)
-        return specialized(*args, **kwargs)
+        return loop(*args, **kwargs)
 
-    monkeypatch.setattr(faultsim, "_fault_loop_mitigated", spy)
+    monkeypatch.setattr(faultsim, "_fault_loop", spy)
     config = workload_config(**TIMER_LANE_CASES[case])
-    fast = simulate(config)
+    plain = simulate(config)
     assert len(calls) == 1
-    generic = simulate(config.evolve(timeline_interval_ms=1e6))
-    assert len(calls) == 1
-    np.testing.assert_array_equal(fast.latency, generic.latency)
-    np.testing.assert_array_equal(fast.failed, generic.failed)
-    assert fast.busy_time_total == generic.busy_time_total
-    assert fast.tasks_total == generic.tasks_total
-    assert fast.tasks_missed_deadline == generic.tasks_missed_deadline
-    assert fast.server_failures == generic.server_failures > 0
-    assert fast.tasks_hedged == generic.tasks_hedged
-    assert fast.tasks_retried == generic.tasks_retried
-    assert fast.hedges_suppressed == generic.hedges_suppressed
+    sampled = simulate(config.evolve(timeline_interval_ms=1e6))
+    assert len(calls) == 2
+    assert sampled.timeline is not None
+    np.testing.assert_array_equal(plain.latency, sampled.latency)
+    np.testing.assert_array_equal(plain.failed, sampled.failed)
+    assert plain.busy_time_total == sampled.busy_time_total
+    assert plain.tasks_total == sampled.tasks_total
+    assert plain.tasks_missed_deadline == sampled.tasks_missed_deadline
+    assert plain.duration == sampled.duration
+    assert plain.server_failures == sampled.server_failures > 0
+    assert plain.tasks_hedged == sampled.tasks_hedged
+    assert plain.tasks_retried == sampled.tasks_retried
+    assert plain.hedges_suppressed == sampled.hedges_suppressed
     if config.replicas is not None:
-        assert controller_fingerprint(fast.replicas) == (
-            controller_fingerprint(generic.replicas))
+        assert controller_fingerprint(plain.replicas) == (
+            controller_fingerprint(sampled.replicas))
     if config.faults.hedge is not None:
-        assert fast.replicas.hedges_launched > 0
-        assert len(fast.replicas.delay_trace) > 1
+        assert plain.replicas.hedges_launched > 0
+        assert len(plain.replicas.delay_trace) > 1
