@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -213,8 +214,14 @@ def _replica_policy_from_args(args: argparse.Namespace
                          adaptive=adaptive)
 
 
+def _nonnegative(flag: str, value: int) -> None:
+    if value < 0:
+        raise ConfigurationError(f"{flag} must be >= 0, got {value}")
+
+
 def _cmd_faults(args: argparse.Namespace) -> int:
     """One-off fault-injected simulation with crash/retry/hedge knobs."""
+    _nonnegative("--retries", args.retries)
     retry = None
     if args.retries > 0:
         retry = RetryPolicy(max_retries=args.retries,
@@ -366,6 +373,12 @@ def _cmd_federation(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     """Run one traced simulation and print its tail-forensics report."""
+    if not (math.isfinite(args.percentile) and 0 <= args.percentile <= 100):
+        raise ConfigurationError(
+            f"--percentile must be finite and in [0, 100], got "
+            f"{args.percentile}")
+    _nonnegative("--top", args.top)
+    _nonnegative("--retries", args.retries)
     config = paper_single_class_config(
         args.workload, args.slo_ms, policy=args.policy,
         n_servers=args.servers, n_queries=args.queries, seed=args.seed,

@@ -126,10 +126,11 @@ def run_simulations(
     fully determines its run).  With two or more workers every config
     runs in the persistent pool, in chunks of ``n // (4 * workers)``
     configs (at least one) so that no worker starves behind one
-    oversized chunk.  When a config carries an enabled recorder, the
-    worker-side recorder is merged into the parent-side recorder
-    object and the returned result is re-bound to the parent, so
-    shared-recorder aggregation matches serial semantics.
+    oversized chunk.  When a config carries an enabled recorder, it
+    runs with an empty recorder of the same settings, which is merged
+    into the parent-side recorder in input order; the returned result
+    is re-bound to the parent, so shared-recorder aggregation matches
+    serial semantics.
     """
     config_list = list(configs)
     if not config_list:
@@ -139,10 +140,17 @@ def run_simulations(
         return tuple(simulate(config) for config in config_list)
 
     chunksize = max(1, len(config_list) // (4 * n_workers))
-    # Collect every result before merging any recorder home: the pool
-    # pickles queued configs lazily, and a recorder shared with a
-    # config not yet sent must not carry merged events into it.
-    results = list(get_pool(n_workers).map(simulate, config_list,
+    # Each traced config travels with an empty recorder of its own, so a
+    # worker's copy holds that run alone: the parent's recorder would
+    # carry what it already held, and configs sharing it in one chunk
+    # would share one unpickled copy.
+    sent = [
+        config.with_recorder(config.recorder.empty_copy())
+        if config.recorder is not None and config.recorder.enabled
+        else config
+        for config in config_list
+    ]
+    results = list(get_pool(n_workers).map(simulate, sent,
                                             chunksize=chunksize))
     return tuple(
         merge_obs_home(config.recorder, result)

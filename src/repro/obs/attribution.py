@@ -373,8 +373,9 @@ class ClusterAttribution:
             "hedge_losses_cancelled": self.hedge_losses,
         }
 
-    def summary(self) -> Dict[str, Any]:
-        """JSON-ready cluster attribution (no per-query payload)."""
+    def summary(self, percentile: float = 99.0) -> Dict[str, Any]:
+        """JSON-ready cluster attribution (no per-query payload); the
+        tail block covers queries at or above ``percentile``."""
         out: Dict[str, Any] = {
             "queries_attributed": len(self.queries),
             "queries_timed_out": self.timed_out,
@@ -383,7 +384,7 @@ class ClusterAttribution:
             "hedges": self.hedge_accounting(),
         }
         if self.queries:
-            out["tail"] = self.tail_attribution()
+            out["tail"] = self.tail_attribution(percentile)
             out["degraded_queries"] = sum(
                 q.degraded for q in self.queries)
         return out

@@ -68,7 +68,7 @@ def tail_forensics_report(result, top_k: int = 5,
             "utilization": result.utilization(),
             "deadline_miss_ratio": result.deadline_miss_ratio(),
         },
-        "attribution": attribution.summary(),
+        "attribution": attribution.summary(percentile),
         "slo": accountant.to_json(fast_window_ms, slow_window_ms),
         "slowest_queries": waterfalls,
     }

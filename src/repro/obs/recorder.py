@@ -107,6 +107,16 @@ class TraceRecorder:
         self._series = ServerSeriesBuilder()
         self._built_series: Optional[ServerSeries] = None
 
+    def empty_copy(self) -> "TraceRecorder":
+        """A recorder holding nothing, with this one's settings: sample
+        interval, histogram layout and strictness."""
+        hist = self.latency_hist
+        return TraceRecorder(
+            self.sample_interval_ms,
+            LogHistogram(hist.min_value, hist.max_value,
+                         hist.buckets_per_decade),
+            self._strict)
+
     # ------------------------------------------------------------------
     def emit(self, type: str, time: float, server_id: int = -1,
              query_id: int = -1, class_name: str = "", fanout: int = 0,

@@ -206,23 +206,44 @@ class TestRunSimulations:
             run_simulations([])
 
     def test_obs_merged_home_matches_serial(self, fig6_mini):
+        """A shared recorder ends with the serial aggregates: two configs
+        sharing it, a recorder that already holds one run, and sixteen
+        configs sharing it in pool chunks of two (both used to count
+        the shared recorder's contents twice)."""
         from dataclasses import replace
 
-        def run(workers):
+        def run(workers, loads, held):
             recorder = TraceRecorder()
+            for load in held:
+                simulate(replace(fig6_mini.at_load(load).with_seed(5),
+                                 recorder=recorder))
             configs = [
                 replace(fig6_mini.at_load(load).with_seed(5),
                         recorder=recorder)
-                for load in (0.3, 0.5)
+                for load in loads
             ]
             run_simulations(configs, workers=workers)
             return recorder
 
-        serial = run(None)
-        merged = run(2)
-        assert merged.counters == serial.counters
-        assert merged.latency_hist.snapshot() == serial.latency_hist.snapshot()
-        assert len(merged.events) == len(serial.events)
+        # (loads, runs the recorder already holds, exact histogram sum):
+        # a merge adds whole-run sums, which can round differently from
+        # one running sum, so the later cases compare the sum to 1e-12.
+        cases = [
+            ((0.3, 0.5), (), True),
+            ((0.5,), (0.3,), False),
+            (tuple(0.2 + 0.025 * i for i in range(16)), (), False),
+        ]
+        for loads, held, exact_sum in cases:
+            serial = run(None, loads, held)
+            merged = run(2, loads, held)
+            assert merged.counters == serial.counters
+            merged_hist = merged.latency_hist.snapshot()
+            serial_hist = serial.latency_hist.snapshot()
+            if not exact_sum:
+                assert merged_hist.pop("sum") == pytest.approx(
+                    serial_hist.pop("sum"), rel=1e-12)
+            assert merged_hist == serial_hist
+            assert len(merged.events) == len(serial.events)
 
     def test_results_rebound_to_parent_recorder(self, fig6_mini):
         from dataclasses import replace

@@ -142,6 +142,22 @@ class TestErrorMapping:
         assert err.startswith("tailguard: configuration error:")
         assert "finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["report", "--percentile", "150"],
+        ["report", "--percentile", "nan"],
+        ["report", "--top", "-1"],
+        ["report", "--retries", "-1"],
+        ["faults", "--retries", "-1"],
+    ], ids=["percentile-150", "percentile-nan", "top", "report-retries",
+            "faults-retries"])
+    def test_bad_report_and_retry_counts_exit_2(self, capsys, argv):
+        """These used to exit 0: the percentile was ignored, ``--top -1``
+        sliced off one waterfall and ``--retries -1`` meant no retry."""
+        assert main(argv + ["--queries", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tailguard: configuration error:")
+        assert err.count("\n") == 1
+
     def test_bad_slo_exits_2(self, capsys):
         assert main([
             "simulate", "--queries", "100", "--slo-ms", "-1",
@@ -357,6 +373,18 @@ class TestReportCommand:
         assert len(report["slowest_queries"]) == 2
         latencies = [q["latency_ms"] for q in report["slowest_queries"]]
         assert latencies == sorted(latencies, reverse=True)
+
+    def test_report_percentile_sets_the_tail(self, capsys):
+        """``--percentile`` used to be ignored: every report said 99."""
+        tails = {}
+        for percentile in ("90", "99"):
+            assert main(self.ARGS + ["--json", "--percentile",
+                                     percentile]) == 0
+            report = json.loads(capsys.readouterr().out)
+            tails[percentile] = report["attribution"]["tail"]
+        assert tails["90"]["percentile"] == 90.0
+        assert tails["99"]["percentile"] == 99.0
+        assert tails["90"]["n_tail"] > tails["99"]["n_tail"]
 
     def test_report_bad_slo_exits_2(self, capsys):
         assert main(["report", "--queries", "100", "--slo-ms", "-1"]) == 2
