@@ -348,3 +348,28 @@ class TestFederationResult:
         from repro.obs import SLOAccountant
         accountant = SLOAccountant.from_result(result.merged)
         assert accountant.burn_rates()
+
+    def test_federation_merge_is_each_shard_stream_remapped(self):
+        """The merged stream is shard 0's events, then shard 1's, each
+        exactly as its shard recorded it, with server ids offset into
+        the flat index, query ids mapped through the routed indices
+        and ``seq`` renumbered."""
+        recorder = TraceRecorder()
+        fed = make_fed(n_shards=2, n_servers=4, n_queries=600,
+                       recorder=recorder)
+        result = simulate_federation(fed)
+        offsets = fed.server_offsets()
+        expected = []
+        for s, shard in enumerate(result.shards):
+            routed = np.flatnonzero(result.shard_of == s)
+            for event in shard.obs.events:
+                row = event.to_dict()
+                row["seq"] = len(expected)
+                if "server_id" in row:
+                    row["server_id"] += offsets[s]
+                if "query_id" in row:
+                    row["query_id"] = int(routed[row["query_id"]])
+                expected.append(row)
+        assert all(shard.obs is not recorder for shard in result.shards)
+        assert len(expected) > 1000
+        assert [event.to_dict() for event in recorder.events] == expected
