@@ -119,6 +119,161 @@ class QueryAttribution:
                 - self.queueing_ms) == self.service_ms
 
 
+#: Each query field held as a column, with its dtype.
+_FIELDS = (
+    ("query_id", np.int64), ("class_name", object), ("fanout", np.int64),
+    ("arrival_ms", np.float64), ("completion_ms", np.float64),
+    ("latency_ms", np.float64), ("retry_delay_ms", np.float64),
+    ("hedge_wait_ms", np.float64), ("queueing_ms", np.float64),
+    ("service_ms", np.float64), ("critical_server", np.int64),
+    ("critical_kind", object), ("n_retries", np.int64),
+    ("n_hedges", np.int64), ("n_cancels", np.int64), ("degraded", bool),
+    ("coverage", np.float64),
+)
+_KINDS = np.array((PRIMARY, RETRY, HEDGE), dtype=object)
+
+
+def _last_per_query(qids: np.ndarray, values: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sorted distinct query ids, the value at each id's last
+    occurrence)``."""
+    order = np.argsort(qids, kind="stable")
+    ids = qids[order]
+    last = np.ones(len(ids), bool)
+    last[:-1] = ids[1:] != ids[:-1]
+    return ids[last], values[order[last]]
+
+
+def _lookup(keys: np.ndarray, values: np.ndarray, qids: np.ndarray,
+            default) -> Tuple[np.ndarray, np.ndarray]:
+    """``(found, value)`` of each query id in the sorted ``keys``."""
+    pos = np.searchsorted(keys, qids)
+    found = np.zeros(len(qids), bool)
+    if len(keys):
+        found = keys[np.minimum(pos, len(keys) - 1)] == qids
+    out = np.full(len(qids), default, dtype=values.dtype)
+    out[found] = values[pos[found]]
+    return found, out
+
+
+def _count_per_query(cols, qids: np.ndarray, *types: str) -> np.ndarray:
+    """Events of the given types per query id in ``qids``."""
+    rows = cols.rows(*types)
+    events = cols.query_id[rows]
+    found, at = _lookup(qids, np.arange(len(qids)), events, 0)
+    return np.bincount(at[found], minlength=len(qids))
+
+
+def _attribute(cols) -> Dict[str, np.ndarray]:
+    """The per-query breakdown as columns (see the module docstring),
+    one row per completed query in query-id order."""
+    time, server, query = cols.time, cols.server_id, cols.query_id
+
+    completions = cols.rows(TASK_COMPLETE)
+    qids, final = _last_per_query(query[completions], completions)
+    del completions
+    arrivals = cols.rows(QUERY_ARRIVE)
+    found, arrival = _lookup(*_last_per_query(query[arrivals], arrivals),
+                             qids, -1)
+    # Truncated streams (no arrival) and failed queries are not
+    # decomposed; sibling slots of a failed query may have completed.
+    keep = found & ~np.isin(qids, query[cols.rows(QUERY_TIMEOUT)])
+    qids, final, arrival = qids[keep], final[keep], arrival[keep]
+    t0, tc = time[arrival], time[final]
+
+    terminal = cols.rows(QUERY_COMPLETE)
+    has, latency_at = cols.extra_values("latency", terminal)
+    found, latency = _lookup(
+        *_last_per_query(query[terminal[has]], latency_at[has]), qids, 0.0)
+    latency = np.where(found, latency, tc - t0)
+
+    # Servers serialize service, so a completion's dequeue is the latest
+    # TASK_DEQUEUE on its server before it (keys order by server, then
+    # row).
+    keys = cols.rows(TASK_DEQUEUE)
+    matched = np.zeros(len(final), bool)
+    dequeue = final
+    if len(keys) and len(final):
+        low = int(min(server[keys].min(), server[final].min()))
+        span = len(cols) + 1
+        keys += (server[keys].astype(np.int64) - low) * span
+        keys.sort()
+        wanted = (server[final].astype(np.int64) - low) * span + final
+        prior = keys[np.maximum(np.searchsorted(keys, wanted) - 1, 0)]
+        del keys
+        dequeue = prior % span
+        matched = ((prior < wanted) & (prior // span == wanted // span)
+                   & (query[dequeue] == query[final]))
+        dequeue = np.where(matched, dequeue, final)
+    has_duration, duration = cols.extra_values("duration", final)
+    # Defensive fallback for a stream whose dequeues were filtered out:
+    # infer the service start from the duration.
+    t2 = np.where(matched, time[dequeue],
+                  np.where(has_duration, tc - duration, t0))
+
+    # The critical copy's launch: the latest retry/hedge targeting the
+    # completing server (and slot, when both are tagged) before its
+    # dequeue; none means the primary dispatch at arrival.
+    launches = cols.rows(TASK_RETRY, TASK_HEDGE)
+    found, at = _lookup(qids, np.arange(len(qids)), query[launches], 0)
+    launches, at = launches[found], at[found]
+    ok = ((server[launches] == server[final[at]])
+          & (launches < dequeue[at]))
+    slotted, slot = cols.extra_values("slot", final)
+    launch_slotted, launch_slot = cols.extra_values("slot", launches)
+    ok &= ~slotted[at] | ~launch_slotted | (slot[at] == launch_slot)
+    launch = np.full(len(qids), -1, np.int64)
+    np.maximum.at(launch, at[ok], launches[ok])
+    relaunched = launch >= 0
+    kind = np.zeros(len(qids), np.int64)
+    t1 = t0.copy()
+    if relaunched.any():
+        rows = launch[relaunched]
+        hedged = cols.type_code[rows] == cols.type_names.index(TASK_HEDGE)
+        kind[relaunched] = np.where(hedged, 2, 1)
+        t1[relaunched] = time[rows]
+
+    pre = t1 - t0
+    retry_delay = np.where(kind == 1, pre, 0.0)
+    hedge_wait = np.where(kind == 2, pre, 0.0)
+    queueing = t2 - t1
+    service = ((latency - retry_delay) - hedge_wait) - queueing
+
+    degrades = cols.rows(QUERY_DEGRADED)
+    has, coverage_at = cols.extra_values("coverage", degrades)
+    degraded, coverage = _lookup(
+        *_last_per_query(query[degrades], np.where(has, coverage_at, 1.0)),
+        qids, 1.0)
+
+    class_code = np.where(cols.class_code[arrival] == 0,
+                          cols.class_code[final], cols.class_code[arrival])
+    return {
+        "query_id": qids,
+        "class_name": np.array(cols.class_names, dtype=object)[class_code],
+        "fanout": cols.fanout[arrival].astype(np.int64),
+        "arrival_ms": t0,
+        "completion_ms": tc,
+        "latency_ms": latency,
+        "retry_delay_ms": retry_delay,
+        "hedge_wait_ms": hedge_wait,
+        "queueing_ms": queueing,
+        "service_ms": service,
+        "critical_server": server[final].astype(np.int64),
+        "critical_kind": _KINDS[kind],
+        "n_retries": _count_per_query(cols, qids, TASK_RETRY),
+        "n_hedges": _count_per_query(cols, qids, TASK_HEDGE),
+        "n_cancels": _count_per_query(cols, qids, TASK_CANCEL),
+        "degraded": degraded,
+        "coverage": coverage,
+    }
+
+
+def _queries(columns: Dict[str, np.ndarray],
+             rows: np.ndarray) -> List[QueryAttribution]:
+    values = [columns[name][rows].tolist() for name, _ in _FIELDS]
+    return [QueryAttribution(*row) for row in zip(*values)]
+
+
 def attribute_queries(recorder) -> List[QueryAttribution]:
     """Reconstruct the per-query breakdown from a recorder's events.
 
@@ -127,120 +282,8 @@ def attribute_queries(recorder) -> List[QueryAttribution]:
     back via :func:`repro.obs.export.recorder_from_jsonl`.  Returns one
     entry per *completed* query, in query-id order.
     """
-    arrive: Dict[int, Any] = {}
-    open_dequeue: Dict[int, Any] = {}
-    #: query_id -> (completion event, its matched dequeue event).
-    final: Dict[int, Tuple[Any, Any]] = {}
-    launches: Dict[int, List[Any]] = {}
-    retries: Dict[int, int] = {}
-    hedges: Dict[int, int] = {}
-    cancels: Dict[int, int] = {}
-    coverage: Dict[int, float] = {}
-    terminal_latency: Dict[int, float] = {}
-    timed_out: set = set()
-
-    for event in recorder.events:
-        kind = event.type
-        if kind == TASK_DEQUEUE:
-            open_dequeue[event.server_id] = event
-        elif kind == TASK_COMPLETE:
-            final[event.query_id] = (event,
-                                     open_dequeue.get(event.server_id))
-        elif kind == QUERY_ARRIVE:
-            arrive[event.query_id] = event
-        elif kind == TASK_RETRY:
-            launches.setdefault(event.query_id, []).append(event)
-            retries[event.query_id] = retries.get(event.query_id, 0) + 1
-        elif kind == TASK_HEDGE:
-            launches.setdefault(event.query_id, []).append(event)
-            hedges[event.query_id] = hedges.get(event.query_id, 0) + 1
-        elif kind == TASK_CANCEL:
-            cancels[event.query_id] = cancels.get(event.query_id, 0) + 1
-        elif kind == QUERY_DEGRADED:
-            coverage[event.query_id] = float(
-                (event.extra or {}).get("coverage", 1.0))
-        elif kind == QUERY_TIMEOUT:
-            timed_out.add(event.query_id)
-        elif kind == QUERY_COMPLETE and event.extra:
-            if "latency" in event.extra:
-                terminal_latency[event.query_id] = event.extra["latency"]
-
-    out: List[QueryAttribution] = []
-    for qid in sorted(final):
-        arrival = arrive.get(qid)
-        if arrival is None:
-            continue  # truncated stream: completion without an arrival
-        if qid in timed_out:
-            continue  # failed query: sibling slots may have completed,
-            # but there is no end-to-end latency to decompose
-        complete, dequeue = final[qid]
-        t0 = arrival.time
-        latency = terminal_latency.get(qid)
-        if latency is None:
-            latency = complete.time - t0
-        extra = complete.extra or {}
-        slot = extra.get("slot")
-        if dequeue is not None and dequeue.query_id == complete.query_id:
-            t2 = dequeue.time
-            dequeue_seq = dequeue.seq
-        elif "duration" in extra:
-            # Defensive fallback (e.g. a stream whose dequeues were
-            # filtered out): infer the service start from the duration.
-            t2 = complete.time - extra["duration"]
-            dequeue_seq = complete.seq
-        else:
-            t2 = t0
-            dequeue_seq = complete.seq
-
-        # The critical copy's launch: the latest retry/hedge targeting
-        # the completing server (and slot, when tagged) before its
-        # dequeue; none means the primary dispatch at arrival.
-        launch = None
-        for candidate in launches.get(qid, ()):
-            if candidate.server_id != complete.server_id:
-                continue
-            if candidate.seq >= dequeue_seq:
-                continue
-            cand_slot = (candidate.extra or {}).get("slot")
-            if slot is not None and cand_slot is not None \
-                    and cand_slot != slot:
-                continue
-            if launch is None or candidate.seq > launch.seq:
-                launch = candidate
-
-        if launch is None:
-            kind, t1 = PRIMARY, t0
-        elif launch.type == TASK_HEDGE:
-            kind, t1 = HEDGE, launch.time
-        else:
-            kind, t1 = RETRY, launch.time
-
-        pre = t1 - t0
-        retry_delay = pre if kind == RETRY else 0.0
-        hedge_wait = pre if kind == HEDGE else 0.0
-        queueing = t2 - t1
-        service = ((latency - retry_delay) - hedge_wait) - queueing
-
-        out.append(QueryAttribution(
-            query_id=qid,
-            class_name=arrival.class_name or complete.class_name,
-            fanout=arrival.fanout,
-            arrival_ms=t0,
-            completion_ms=complete.time,
-            latency_ms=latency,
-            retry_delay_ms=retry_delay,
-            hedge_wait_ms=hedge_wait,
-            queueing_ms=queueing,
-            service_ms=service,
-            critical_server=complete.server_id,
-            critical_kind=kind,
-            n_retries=retries.get(qid, 0),
-            n_hedges=hedges.get(qid, 0),
-            n_cancels=cancels.get(qid, 0),
-            degraded=qid in coverage,
-            coverage=coverage.get(qid, 1.0),
-        ))
-    return out
+    columns = _attribute(recorder.columns())
+    return _queries(columns, np.arange(len(columns["query_id"])))
 
 
 class ClusterAttribution:
@@ -248,53 +291,64 @@ class ClusterAttribution:
 
     Answers the tail question the aggregates cannot: *where* does p99
     latency go — queueing, service, retry backoff, or hedge waits —
-    and on which servers.
+    and on which servers.  The breakdown is held as one NumPy column
+    per :class:`QueryAttribution` field; the objects themselves are
+    built only where the API returns them (:attr:`queries`,
+    :meth:`top_k`).
     """
 
     def __init__(self, queries: List[QueryAttribution],
                  timed_out: int = 0, shed_tasks: int = 0,
                  hedge_losses: int = 0) -> None:
-        self.queries = list(queries)
+        queries = list(queries)
+        self._columns = {
+            name: np.array([getattr(q, name) for q in queries], dtype)
+            for name, dtype in _FIELDS}
+        self._queries: Optional[List[QueryAttribution]] = queries
         self.timed_out = timed_out
         self.shed_tasks = shed_tasks
         self.hedge_losses = hedge_losses
 
     @classmethod
     def from_recorder(cls, recorder) -> "ClusterAttribution":
-        timed_out = 0
-        shed = 0
-        hedge_losses = 0
-        for event in recorder.events:
-            if event.type == QUERY_TIMEOUT:
-                timed_out += 1
-            elif event.type == TASK_SHED:
-                shed += 1
-            elif event.type == TASK_CANCEL:
-                if (event.extra or {}).get("reason") == "hedge_lost":
-                    hedge_losses += 1
-        return cls(attribute_queries(recorder), timed_out=timed_out,
-                   shed_tasks=shed, hedge_losses=hedge_losses)
+        cols = recorder.columns()
+        hedge_losses = sum(
+            (cols.extra_dict(row) or {}).get("reason") == "hedge_lost"
+            for row in cols.rows(TASK_CANCEL).tolist())
+        attribution = cls([], timed_out=len(cols.rows(QUERY_TIMEOUT)),
+                          shed_tasks=len(cols.rows(TASK_SHED)),
+                          hedge_losses=hedge_losses)
+        attribution._columns = _attribute(cols)
+        attribution._queries = None
+        return attribution
+
+    @property
+    def queries(self) -> List[QueryAttribution]:
+        """Every attributed query, in query-id order."""
+        if self._queries is None:
+            self._queries = _queries(self._columns, np.arange(len(self)))
+        return self._queries
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.queries)
+        return len(self._columns["query_id"])
 
     def latencies(self) -> np.ndarray:
-        return np.asarray([q.latency_ms for q in self.queries])
+        return self._columns["latency_ms"].copy()
 
     def component_values(self, component: str) -> np.ndarray:
         if component not in COMPONENTS:
             raise KeyError(f"unknown component {component!r}; "
                            f"known: {COMPONENTS}")
-        field = f"{component}_ms"
-        return np.asarray([getattr(q, field) for q in self.queries])
+        return self._columns[f"{component}_ms"].copy()
 
     def mechanism_table(self) -> Dict[str, Dict[str, float]]:
         """Per-component p50/p99/mean and share of total latency."""
-        total_latency = float(self.latencies().sum()) if self.queries else 0.0
+        latencies = self._columns["latency_ms"]
+        total_latency = float(latencies.sum()) if len(self) else 0.0
         table: Dict[str, Dict[str, float]] = {}
         for component in COMPONENTS:
-            values = self.component_values(component)
+            values = self._columns[f"{component}_ms"]
             if values.size == 0:
                 table[component] = {"p50": 0.0, "p99": 0.0, "mean": 0.0,
                                     "share": 0.0}
@@ -317,27 +371,29 @@ class ClusterAttribution:
         servers whose critical copies carry the most tail time, and
         how many tail queries were degraded / hedge-won / retried.
         """
-        if not self.queries:
+        if not len(self):
             return {"percentile": percentile, "threshold_ms": 0.0,
                     "n_tail": 0, "shares": {c: 0.0 for c in COMPONENTS},
                     "servers": [], "degraded_fraction": 0.0,
                     "hedge_won_fraction": 0.0, "retried_fraction": 0.0}
-        latencies = self.latencies()
+        columns = self._columns
+        latencies = columns["latency_ms"]
         threshold = float(exact_percentile(latencies, percentile))
-        tail = [q for q in self.queries if q.latency_ms >= threshold]
-        tail_time = sum(q.latency_ms for q in tail)
+        tail = np.flatnonzero(latencies >= threshold)
+        # Python sums, in query order, as the per-query view adds them.
+        tail_latency = latencies[tail].tolist()
+        tail_time = sum(tail_latency)
         shares = {}
         for component in COMPONENTS:
-            field = f"{component}_ms"
             shares[component] = (
-                sum(getattr(q, field) for q in tail) / tail_time
+                sum(columns[f"{component}_ms"][tail].tolist()) / tail_time
                 if tail_time > 0 else 0.0
             )
         by_server: Dict[int, Tuple[float, int]] = {}
-        for q in tail:
-            time_so_far, count = by_server.get(q.critical_server, (0.0, 0))
-            by_server[q.critical_server] = (time_so_far + q.latency_ms,
-                                            count + 1)
+        for sid, latency in zip(columns["critical_server"][tail].tolist(),
+                                tail_latency):
+            time_so_far, count = by_server.get(sid, (0.0, 0))
+            by_server[sid] = (time_so_far + latency, count + 1)
         servers = sorted(
             ({"server": sid, "share": time / tail_time if tail_time else 0.0,
               "queries": count}
@@ -345,31 +401,32 @@ class ClusterAttribution:
             key=lambda row: -row["share"],
         )[:top_servers]
         n = len(tail)
+        kinds = columns["critical_kind"][tail]
         return {
             "percentile": percentile,
             "threshold_ms": threshold,
             "n_tail": n,
             "shares": shares,
             "servers": servers,
-            "degraded_fraction": sum(q.degraded for q in tail) / n,
-            "hedge_won_fraction": sum(
-                q.critical_kind == HEDGE for q in tail) / n,
-            "retried_fraction": sum(
-                q.critical_kind == RETRY for q in tail) / n,
+            "degraded_fraction": int(
+                np.count_nonzero(columns["degraded"][tail])) / n,
+            "hedge_won_fraction": int(np.count_nonzero(kinds == HEDGE)) / n,
+            "retried_fraction": int(np.count_nonzero(kinds == RETRY)) / n,
         }
 
     def top_k(self, k: int = 5) -> List[QueryAttribution]:
         """The k slowest queries, slowest first."""
-        return sorted(self.queries, key=lambda q: -q.latency_ms)[:k]
+        order = np.argsort(-self._columns["latency_ms"], kind="stable")
+        return _queries(self._columns, order[:k])
 
     def hedge_accounting(self) -> Dict[str, int]:
         """Hedging cost/benefit: launched duplicates, queries whose
         hedge *won* the critical path, and loser copies cancelled
         (duplicated work that bought nothing)."""
         return {
-            "hedges_launched": sum(q.n_hedges for q in self.queries),
-            "hedge_won_queries": sum(
-                q.critical_kind == HEDGE for q in self.queries),
+            "hedges_launched": int(self._columns["n_hedges"].sum()),
+            "hedge_won_queries": int(np.count_nonzero(
+                self._columns["critical_kind"] == HEDGE)),
             "hedge_losses_cancelled": self.hedge_losses,
         }
 
@@ -377,14 +434,14 @@ class ClusterAttribution:
         """JSON-ready cluster attribution (no per-query payload); the
         tail block covers queries at or above ``percentile``."""
         out: Dict[str, Any] = {
-            "queries_attributed": len(self.queries),
+            "queries_attributed": len(self),
             "queries_timed_out": self.timed_out,
             "shed_tasks": self.shed_tasks,
             "components": self.mechanism_table(),
             "hedges": self.hedge_accounting(),
         }
-        if self.queries:
+        if len(self):
             out["tail"] = self.tail_attribution(percentile)
-            out["degraded_queries"] = sum(
-                q.degraded for q in self.queries)
+            out["degraded_queries"] = int(
+                np.count_nonzero(self._columns["degraded"]))
         return out

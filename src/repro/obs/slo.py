@@ -25,6 +25,8 @@ from __future__ import annotations
 import bisect
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.obs.events import (
     QUERY_COMPLETE,
@@ -71,6 +73,12 @@ class ErrorBudget:
         self._times.append(time)
         if bad:
             self._bad_times.append(time)
+
+    def record_many(self, times: np.ndarray, bad: np.ndarray) -> None:
+        """:meth:`record` for each ``times[i]`` with ``bad[i]``, in
+        order."""
+        self._times.extend(times.tolist())
+        self._bad_times.extend(times[bad].tolist())
 
     @property
     def total(self) -> int:
@@ -145,29 +153,28 @@ class SLOAccountant:
         of outcomes absorbed.  Events for unknown classes are skipped
         (merged traces may carry classes this accountant doesn't track).
         """
-        n = 0
-        for event in recorder.events:
-            kind = event.type
-            if kind == QUERY_COMPLETE:
-                latency = (event.extra or {}).get("latency")
-                bad = latency is None or latency > self._slo_for(event)
-            elif kind in (QUERY_TIMEOUT, QUERY_REJECTED):
-                bad = True
-            else:
-                continue
-            budget = self.budgets.get(event.class_name)
-            if budget is None:
-                continue
-            budget.record(event.time, bad)
-            if self._first_time is None:
-                self._first_time = event.time
-            self._last_time = event.time
-            n += 1
-        return n
-
-    def _slo_for(self, event) -> float:
-        budget = self.budgets.get(event.class_name)
-        return budget.slo_ms if budget is not None else float("inf")
+        cols = recorder.columns()
+        rows = cols.rows(QUERY_COMPLETE, QUERY_TIMEOUT, QUERY_REJECTED)
+        class_code = cols.class_code[rows]
+        budgets = [self.budgets.get(name) for name in cols.class_names]
+        tracked = np.array([b is not None for b in budgets], bool)[class_code]
+        rows, class_code = rows[tracked], class_code[tracked]
+        if not len(rows):
+            return 0
+        slo = np.array([b.slo_ms if b is not None else np.inf
+                        for b in budgets])[class_code]
+        has_latency, latency = cols.extra_values("latency", rows)
+        completed = cols.type_code[rows] == cols.type_names.index(
+            QUERY_COMPLETE)
+        bad = ~completed | ~has_latency | (latency > slo)
+        times = cols.time[rows]
+        for code in np.unique(class_code).tolist():
+            mine = class_code == code
+            budgets[code].record_many(times[mine], bad[mine])
+        if self._first_time is None:
+            self._first_time = float(times[0])
+        self._last_time = float(times[-1])
+        return len(rows)
 
     @classmethod
     def from_result(cls, result) -> "SLOAccountant":

@@ -1,8 +1,11 @@
 """End-to-end tracing: recorder wired through the cluster simulator
 and the DES handler/server stack, reconciled against the result."""
 
+import gc
 import io
+import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -35,7 +38,9 @@ from repro.obs import (
     TASK_ENQUEUE,
     NullRecorder,
     TraceRecorder,
+    TraceEvent,
     chrome_trace_events,
+    recorder_from_jsonl,
     write_jsonl,
 )
 from repro.obs.export import read_jsonl
@@ -320,3 +325,131 @@ class TestDESTracing:
             return [record.latency for record in handler.completed]
 
         assert run(None) == run(TraceRecorder())
+
+
+def forensics_config(n_queries=2_000):
+    """A TF-EDFQ run on N=100 at load 0.7, the forensics benchmark's
+    shape at a smaller size."""
+    return paper_single_class_config(
+        "masstree", 1.0, policy="tailguard", n_servers=100,
+        n_queries=n_queries, seed=3).at_load(0.7)
+
+
+class TestColumnarLog:
+    """The recorder stores events as columns, not objects."""
+
+    def test_recorder_retains_at_most_100_bytes_per_event(self):
+        config = forensics_config()
+        simulate(config)  # warm every cache outside the measurement
+        gc.collect()
+        tracemalloc.start()
+        try:
+            recorder = TraceRecorder()
+            result = simulate(config.with_recorder(recorder))
+            del result
+            gc.collect()
+            with_recorder = tracemalloc.get_traced_memory()[0]
+            n_events = len(recorder.events)
+            del recorder
+            gc.collect()
+            without = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert n_events > 20_000
+        per_event = (with_recorder - without) / n_events
+        assert per_event <= 100, f"{per_event:.0f} B per event"
+
+    def test_counts_and_attribution_build_no_events(self, monkeypatch):
+        recorder = TraceRecorder()
+        result = simulate(forensics_config().with_recorder(recorder))
+        built = []
+        init = TraceEvent.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TraceEvent, "__init__", spy)
+        assert len(recorder.events) > 20_000
+        assert recorder.events
+        counts = recorder.counts_by_type()
+        summary = recorder.summary()
+        attribution = result.attribution_summary()
+        assert built == []
+        assert summary["n_events"] == sum(counts.values())
+        assert attribution["attr_service_share"] > 0
+        # The spy does see an event that is built.
+        assert recorder.events[-1].type in counts
+        assert len(built) == 1
+
+
+#: Traced runs that between them emit every shape of ``extra``: string
+#: reasons with int slots and attempts, timeouts, hedges and
+#: ``fallback`` retries, degradation, breaker sheds, rejections,
+#: replica suppression, adaptive hedge delays and online-estimator
+#: observations.
+def _shape_configs():
+    two_class = paper_two_class_config(
+        "masstree", 0.6, n_servers=100, n_queries=2_000, seed=7,
+        policy="tailguard").at_load(0.85)
+    kill = FaultPlan(
+        crashes=CrashProcess(mtbf_ms=20.0, mttr_ms=5.0, seed=3),
+        retry=RetryPolicy(max_retries=3, backoff_ms=0.2, timeout_ms=2.0),
+        hedge=HedgePolicy(quantile=0.95),
+    )
+    overloaded = traced_config(None, load=0.9).with_faults(kill).evolve(
+        overload=OverloadPolicy(
+            admission=_OVERLOAD.admission, degrade=_OVERLOAD.degrade,
+            breakers=BreakerPolicy(miss_threshold=2, open_ms=20.0)))
+    online = traced_config(None, load=1.3, admission=(
+        DeadlineMissRatioAdmission(0.02, window_tasks=5_000,
+                                   min_samples=200)))
+    online = online.evolve(estimator=DeadlineEstimator(
+        dict(online.resolve_server_cdfs()), online_window=256,
+        refresh_interval=200))
+    return {
+        "kill-overload": overloaded,
+        "adaptive-replicas": two_class.with_faults(_KILL_PLAN).with_replicas(
+            _ADAPTIVE_REPLICAS),
+        "admission-online": online,
+    }
+
+
+def test_jsonl_round_trip_is_exact_over_every_extras_shape():
+    seen = {}
+    for name, config in _shape_configs().items():
+        recorder = TraceRecorder()
+        simulate(config.with_recorder(recorder))
+        first = io.StringIO()
+        write_jsonl(recorder, first)
+        back = recorder_from_jsonl(io.StringIO(first.getvalue()))
+        second = io.StringIO()
+        write_jsonl(back, second)
+        assert second.getvalue() == first.getvalue(), name
+        for event in back.events:
+            for key, value in (event.extra or {}).items():
+                seen.setdefault((event.type, key), set()).add(type(value))
+        assert [json.loads(line)["seq"] for line in
+                first.getvalue().splitlines()] == list(range(len(back.events)))
+    expected = {
+        (TASK_ENQUEUE, "queue_len"): {int},
+        (TASK_ENQUEUE, "reorder_depth"): {int},
+        (TASK_DEQUEUE, "slot"): {int},
+        (TASK_COMPLETE, "duration"): {float},
+        (TASK_COMPLETE, "slot"): {int},
+        ("TASK_RETRY", "reason"): {str},
+        ("TASK_RETRY", "attempt"): {int},
+        ("TASK_RETRY", "fallback"): {bool},
+        ("TASK_HEDGE", "hedge"): {int},
+        ("TASK_CANCEL", "reason"): {str},
+        ("QUERY_DEGRADED", "coverage"): {float},
+        ("QUERY_DEGRADED", "dispatched"): {int},
+        (QUERY_REJECTED, "miss_ratio"): {float},
+        ("QUERY_COMPLETE", "latency"): {float},
+        ("CDF_UPDATE", "observation"): {float},
+        ("HEDGE_SUPPRESSED", "reason"): {str},
+        ("HEDGE_DELAY_UPDATE", "factor"): {float},
+        ("HEDGE_DELAY_UPDATE", "win_ratio"): {float},
+    }
+    for shape, types in expected.items():
+        assert seen.get(shape) == types, shape

@@ -9,6 +9,7 @@ simulator streams on both paths.
 
 import json
 import pathlib
+import random
 import types
 
 import pytest
@@ -418,6 +419,136 @@ class TestSLOAccountant:
         with pytest.raises(ConfigurationError):
             SLOAccountant.from_result(untraced)
 
+
+
+def reference_attribute_queries(events):
+    """The per-event loop :func:`attribute_queries` replaced: one pass
+    over ``TraceEvent`` objects with dicts keyed by query id.  Kept as
+    the reference the column version must equal field for field."""
+    arrive, open_dequeue, final, launches = {}, {}, {}, {}
+    retries, hedges, cancels, coverage, latencies = {}, {}, {}, {}, {}
+    timed_out = set()
+    for event in events:
+        kind, qid, extra = event.type, event.query_id, event.extra or {}
+        if kind == TASK_DEQUEUE:
+            open_dequeue[event.server_id] = event
+        elif kind == TASK_COMPLETE:
+            final[qid] = (event, open_dequeue.get(event.server_id))
+        elif kind == QUERY_ARRIVE:
+            arrive[qid] = event
+        elif kind in (TASK_RETRY, TASK_HEDGE):
+            launches.setdefault(qid, []).append(event)
+            counts = retries if kind == TASK_RETRY else hedges
+            counts[qid] = counts.get(qid, 0) + 1
+        elif kind == TASK_CANCEL:
+            cancels[qid] = cancels.get(qid, 0) + 1
+        elif kind == QUERY_DEGRADED:
+            coverage[qid] = float(extra.get("coverage", 1.0))
+        elif kind == QUERY_TIMEOUT:
+            timed_out.add(qid)
+        elif kind == QUERY_COMPLETE and "latency" in extra:
+            latencies[qid] = extra["latency"]
+    out = []
+    for qid in sorted(final):
+        arrival = arrive.get(qid)
+        if arrival is None or qid in timed_out:
+            continue
+        complete, dequeue = final[qid]
+        t0 = arrival.time
+        latency = latencies.get(qid)
+        if latency is None:
+            latency = complete.time - t0
+        extra = complete.extra or {}
+        slot = extra.get("slot")
+        if dequeue is not None and dequeue.query_id == qid:
+            t2, before = dequeue.time, dequeue.seq
+        elif "duration" in extra:
+            t2, before = complete.time - extra["duration"], complete.seq
+        else:
+            t2, before = t0, complete.seq
+        launch = None
+        for candidate in launches.get(qid, ()):
+            cand_slot = (candidate.extra or {}).get("slot")
+            if (candidate.server_id == complete.server_id
+                    and candidate.seq < before
+                    and (slot is None or cand_slot is None
+                         or cand_slot == slot)
+                    and (launch is None or candidate.seq > launch.seq)):
+                launch = candidate
+        kind = (PRIMARY if launch is None else
+                HEDGE if launch.type == TASK_HEDGE else RETRY)
+        t1 = t0 if launch is None else launch.time
+        pre = t1 - t0
+        retry_delay = pre if kind == RETRY else 0.0
+        hedge_wait = pre if kind == HEDGE else 0.0
+        out.append(QueryAttribution(
+            qid, arrival.class_name or complete.class_name, arrival.fanout,
+            t0, complete.time, latency, retry_delay, hedge_wait, t2 - t1,
+            ((latency - retry_delay) - hedge_wait) - (t2 - t1),
+            complete.server_id, kind, retries.get(qid, 0),
+            hedges.get(qid, 0), cancels.get(qid, 0), qid in coverage,
+            coverage.get(qid, 1.0)))
+    return out
+
+
+def random_stream(seed):
+    """A shuffled-looking stream of every event attribution reads, with
+    missing dequeues, foreign slots, stale launches and sentinel ids."""
+    rng = random.Random(seed)
+    rec = TraceRecorder()
+    kinds = (QUERY_ARRIVE, TASK_DEQUEUE, TASK_COMPLETE, TASK_RETRY,
+             TASK_HEDGE, TASK_CANCEL, QUERY_DEGRADED, QUERY_TIMEOUT,
+             QUERY_COMPLETE, QUERY_REJECTED, TASK_SHED)
+    extras = {
+        TASK_COMPLETE: ({"duration": 0.25}, {"duration": 0.5, "slot": 1},
+                        {"slot": 0}, None),
+        TASK_RETRY: ({"attempt": 1, "reason": "timeout", "slot": 1},
+                     {"slot": 0}, None),
+        TASK_HEDGE: ({"hedge": 1, "slot": 1}, {"hedge": 1, "slot": 0}),
+        TASK_CANCEL: ({"reason": "hedge_lost"}, {"reason": "timeout"}),
+        QUERY_DEGRADED: ({"coverage": 0.5, "dispatched": 1},
+                         {"dispatched": 1}),
+        QUERY_COMPLETE: ({"latency": 1.5}, {"other": 1}, None),
+        QUERY_REJECTED: ({"miss_ratio": 0.5},),
+    }
+    now = 0.0
+    for _ in range(rng.randrange(400)):
+        now += rng.choice((0.0, rng.random()))
+        kind = rng.choice(kinds)
+        rec.emit(kind, now, server_id=rng.randrange(-1, 4),
+                 query_id=rng.randrange(-1, 25),
+                 class_name=rng.choice(("", "gold", "silver")),
+                 fanout=rng.randrange(4),
+                 extra=rng.choice(extras.get(kind, (None,))))
+    return rec
+
+
+class TestColumnsMatchEventLoop:
+    """The column readers against per-event reference loops."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_streams(self, seed):
+        rec = random_stream(seed)
+        assert attribute_queries(rec) == reference_attribute_queries(
+            rec.events)
+        budgets = {"gold": (1.0, 99.0), "silver": (2.0, 90.0)}
+        accountant = SLOAccountant(budgets)
+        reference = SLOAccountant(budgets)
+        outcomes = 0
+        for event in rec.events:
+            budget = reference.budgets.get(event.class_name)
+            if budget is None or event.type not in (
+                    QUERY_COMPLETE, QUERY_TIMEOUT, QUERY_REJECTED):
+                continue
+            latency = (event.extra or {}).get("latency")
+            budget.record(event.time, event.type != QUERY_COMPLETE
+                          or latency is None or latency > budget.slo_ms)
+            outcomes += 1
+        assert accountant.ingest(rec) == outcomes
+        for name, budget in accountant.budgets.items():
+            assert (budget._times, budget._bad_times) == (
+                reference.budgets[name]._times,
+                reference.budgets[name]._bad_times)
 
 class TestValidateReport:
     def test_valid_instance(self):
