@@ -20,7 +20,11 @@ The corpus pins both simulation paths:
   series;
 * the composable DES-kernel path (``QueryHandler`` + ``TaskServer``
   on ``repro.sim.Environment``) on a fixed pre-placed trace, with and
-  without a fault plan.
+  without a fault plan;
+* multi-shard federations (``repro.federation.simulate_federation``)
+  under every front-tier router, with and without spill — a
+  federation digest pins the routing (``shard_of``, ``spilled``,
+  ``tenant_of``) and the merged result.
 
 Regenerating (only after an *intentional* semantics change — see
 ``docs/extending.md``):
@@ -61,6 +65,12 @@ from repro.faults import (
     fault_horizon,
     install_faults,
 )
+from repro.federation import (
+    FederationConfig,
+    SpillPolicy,
+    route_queries,
+    simulate_federation,
+)
 from repro.obs import TraceRecorder, write_jsonl
 from repro.overload import (
     AdaptiveAdmissionPolicy,
@@ -83,6 +93,7 @@ from repro.workloads import (
     ShardMap,
     Workload,
     generate_queries,
+    generate_query_arrays,
     get_workload,
     inverse_proportional_fanout,
     single_class_mix,
@@ -106,6 +117,9 @@ _CANONICAL = {
     "measured": np.uint8,
     "failed": np.uint8,
     "degraded": np.uint8,
+    "shard_of": np.int64,
+    "spilled": np.uint8,
+    "tenant_of": np.int64,
 }
 
 
@@ -217,6 +231,20 @@ def digest_result(result) -> Dict:
     if result.obs is not None:
         digest["trace"] = digest_trace(result.obs)
     return digest
+
+
+def digest_federation(fed) -> Dict:
+    """Exact digest of one federation run: the routing decisions plus
+    the merged federation-scope result."""
+    return {
+        "routing": {
+            name: _array_sha(name, getattr(fed, name))
+            for name in ("shard_of", "spilled", "tenant_of")
+        },
+        "shard_queries": fed.shard_query_counts().tolist(),
+        "spilled": fed.spill_count(),
+        "merged": digest_result(fed.merged),
+    }
 
 
 def digest_kernel_run(latencies: Dict[int, float], failed: set,
@@ -592,6 +620,57 @@ for _policy in ("fifo", "tailguard"):
 
 
 # ----------------------------------------------------------------------
+# Federation scenarios (front-tier routing over per-shard calendars)
+# ----------------------------------------------------------------------
+def _federation(router: str = "jsq", sizes: Tuple[int, ...] = (16,) * 4,
+                fanouts: Tuple[int, ...] = (1, 4, 16),
+                service_rates: Optional[Tuple[float, ...]] = None,
+                load: float = 0.85, **kwargs) -> FederationConfig:
+    """Two-class shards of the given sizes (TF-EDFQ, shard seeds 0..),
+    under one front-tier stream rated to ``load`` on the total
+    capacity.  ``service_rates`` gives each shard its own exponential
+    service time instead of the masstree CDF."""
+    workload = _small_workload(n_classes=2, fanouts=fanouts)
+    shards = []
+    for s, size in enumerate(sizes):
+        shard_workload = workload
+        if service_rates is not None:
+            shard_workload = replace(
+                workload, service_time=Exponential(service_rates[s]))
+        shards.append(ClusterConfig(size, "tailguard",
+                                    workload=shard_workload, seed=s))
+    return FederationConfig(tuple(shards), workload=workload,
+                            n_queries=1500, seed=17, router=router,
+                            **kwargs).at_load(load)
+
+
+FEDERATION_SCENARIOS: Dict[str, Callable[[], FederationConfig]] = {
+    "federation_jsq": lambda: _federation("jsq"),
+    "federation_p2c": lambda: _federation("p2c"),
+    "federation_least_slack": lambda: _federation("least-slack"),
+    # Shards with service means 0.125, 0.167 and 0.25 ms: the scorer
+    # trades tightest-fit packing for the fastest tail.
+    "federation_least_slack_scored": lambda: _federation(
+        "least-slack", sizes=(16,) * 3, service_rates=(8.0, 6.0, 4.0),
+        scorer=ReplicaScorer(tail_weight=0.5)),
+    "federation_tenant": lambda: _federation("tenant", n_tenants=16),
+    # Four tenants under heavy skew pile onto one home shard; spill at
+    # budget exhaustion sheds the overflow.
+    "federation_tenant_spill": lambda: _federation(
+        "tenant", n_tenants=4, tenant_alpha=2.0,
+        spill=SpillPolicy(margin_ms=0.0)),
+    # Two fast and two slow shards: jsq picks the least backlog, and
+    # spill moves queries whose budget the slow shards' tails overrun.
+    "federation_jsq_spill": lambda: _federation(
+        "jsq", service_rates=(8.0, 8.0, 5.0, 5.0),
+        spill=SpillPolicy(margin_ms=0.1)),
+    # Fanout 32 fits only the largest shard, fanout 16 three of four.
+    "federation_mixed_jsq": lambda: _federation(
+        "jsq", sizes=(8, 16, 16, 32), fanouts=(1, 4, 16, 32)),
+}
+
+
+# ----------------------------------------------------------------------
 # Digest computation / regeneration
 # ----------------------------------------------------------------------
 def compute_digest(name: str) -> Dict:
@@ -599,6 +678,10 @@ def compute_digest(name: str) -> Dict:
         result = simulate(CALENDAR_SCENARIOS[name]())
         digest = digest_result(result)
         digest["path"] = "event-calendar"
+    elif name in FEDERATION_SCENARIOS:
+        digest = digest_federation(
+            simulate_federation(FEDERATION_SCENARIOS[name]()))
+        digest["path"] = "federation"
     else:
         policy, plan, rpolicy = KERNEL_SCENARIOS[name]
         latencies, failed = run_kernel_scenario(policy, plan, rpolicy)
@@ -612,7 +695,8 @@ def golden_path(name: str) -> Path:
     return GOLDEN_DIR / f"{name}.json"
 
 
-ALL_SCENARIOS = sorted(CALENDAR_SCENARIOS) + sorted(KERNEL_SCENARIOS)
+ALL_SCENARIOS = (sorted(CALENDAR_SCENARIOS) + sorted(KERNEL_SCENARIOS)
+                 + sorted(FEDERATION_SCENARIOS))
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
@@ -636,6 +720,29 @@ def test_corpus_has_no_orphan_digests():
     """Every checked-in digest corresponds to a live scenario."""
     on_disk = {p.stem for p in GOLDEN_DIR.glob("*.json")}
     assert on_disk == set(ALL_SCENARIOS)
+
+
+def test_federation_goldens_are_not_vacuous():
+    """The spill scenarios spill, the mixed federation sends its largest
+    fanout only to the shard that fits it, and the jsq stream hits
+    ties: jsq draws randomness only to break ties, so two router
+    streams routing the same queries differently prove it does."""
+    for name in ("federation_tenant_spill", "federation_jsq_spill"):
+        fed = simulate_federation(FEDERATION_SCENARIOS[name]())
+        assert fed.spill_count() > 0, name
+    mixed = simulate_federation(FEDERATION_SCENARIOS["federation_mixed_jsq"]())
+    largest = mixed.merged.fanout == 32
+    assert largest.any() and np.all(mixed.shard_of[largest] == 3)
+    config = FEDERATION_SCENARIOS["federation_jsq"]()
+    times, fanouts, class_indices = generate_query_arrays(
+        config.workload, config.n_queries, np.random.default_rng(0))
+    routes = [
+        route_queries(config, config.workload.class_mix.classes,
+                      class_indices, fanouts, times,
+                      np.random.default_rng(seed)).shard_of
+        for seed in (1, 2)
+    ]
+    assert not np.array_equal(routes[0], routes[1])
 
 
 def _regen() -> None:
