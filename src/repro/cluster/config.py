@@ -18,7 +18,7 @@ from repro.obs.recorder import TraceRecorder
 from repro.overload.policy import OverloadPolicy
 from repro.replicas.policy import ReplicaPolicy
 from repro.types import QuerySpec
-from repro.workloads.generator import Workload
+from repro.workloads.generator import QueryStream, Workload
 
 #: Custom placement hook: (spec, rng) -> server ids (len == fanout).
 PlacementFn = Callable[[QuerySpec, np.random.Generator], Tuple[int, ...]]
@@ -83,8 +83,11 @@ class ClusterConfig:
 
     Exactly one of ``workload`` or ``specs`` must be provided: either
     queries are generated from a workload model, or a pre-materialized
-    spec list (trace replay — the mode that makes policy comparisons
-    perfectly paired) is replayed.
+    stream (trace replay — the mode that makes policy comparisons
+    perfectly paired) is replayed.  ``specs`` takes a
+    :class:`~repro.types.QuerySpec` sequence or a columnar
+    :class:`~repro.workloads.QueryStream` (how the federation front
+    tier hands each shard its slice).
 
     All optional fields are **keyword-only** (public-API contract; see
     ``docs/api.md``): the positional form ``ClusterConfig(100, "fifo",
@@ -101,7 +104,7 @@ class ClusterConfig:
     _: KW_ONLY
     workload: Optional[Workload] = None
     n_queries: int = 50_000
-    specs: Optional[Sequence[QuerySpec]] = None
+    specs: Optional[Union[Sequence[QuerySpec], QueryStream]] = None
     seed: int = 0
     #: Leading fraction of queries excluded from statistics.
     warmup_fraction: float = 0.1

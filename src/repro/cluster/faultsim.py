@@ -72,6 +72,7 @@ from repro.obs.events import (
     TASK_HEDGE,
     TASK_RETRY,
 )
+from repro.workloads.generator import QueryStream
 
 #: Heap ranks (ordered processing at equal times).
 _R_TRANSITION = 0
@@ -154,9 +155,8 @@ def _sample_timeline(now: float, next_sample: float, interval: float,
     return next_sample
 
 
-def _fault_loop(policy, n: int, m: int, classes, class_index, fanout,
-                arrival, specs, servers_list, query_budget, estimator,
-                online: bool, admission, placement, server_stream,
+def _fault_loop(policy, n: int, queries: QueryStream, query_budget,
+                estimator, online: bool, admission, placement, server_stream,
                 perturbations, perturbed_servers, placement_rng,
                 sample_interval, rec, transitions, strag_eps,
                 straggling: bool, kill_mode: bool, retry, hedge, ctrl, rc):
@@ -201,8 +201,14 @@ def _fault_loop(policy, n: int, m: int, classes, class_index, fanout,
     queue_objects = not is_fifo and not inline_heap
     key_is_slo = type(policy) is TEDFPolicy
     queue_key = policy.queue_key
+    m = len(queries)
+    classes = queries.classes
+    class_index = queries.class_index
+    arrival = queries.arrival
     arrival_l = arrival.tolist()
-    fanout_l = fanout.tolist()
+    fanout_l = queries.fanout.tolist()
+    servers_list = queries.servers
+    spec_of = queries.spec
     class_names = [cls.name for cls in classes]
     slo_by_class = [cls.slo_ms for cls in classes]
     admit = admission.admit if admission is not None else None
@@ -891,7 +897,7 @@ def _fault_loop(policy, n: int, m: int, classes, class_index, fanout,
         if pre is not None:
             servers = pre
         elif placement is not None:
-            servers = _place(placement, specs[qidx], placement_rng,
+            servers = _place(placement, spec_of(qidx), placement_rng,
                              tuple(depth) if wants_depths else None,
                              n, k, qidx)
         elif k == n:
@@ -1028,10 +1034,10 @@ def simulate_with_faults(config: ClusterConfig) -> SimulationResult:
     tracing = rec is not None and rec.enabled
     placement = config.placement
 
-    specs, servers_list, classes, class_index, fanout, arrival = (
-        _prepare_stream(config, spec_rng))
+    queries = _prepare_stream(config, spec_rng)
 
-    materialized = plan.materialize(n, fault_horizon(float(arrival[-1])))
+    materialized = plan.materialize(
+        n, fault_horizon(float(queries.arrival[-1])))
 
     ctrl = None
     if overload_active:
@@ -1052,15 +1058,13 @@ def simulate_with_faults(config: ClusterConfig) -> SimulationResult:
     query_budget: List[float] = []
     if (estimator.homogeneous and not online and placement is None
             and ctrl is None):
-        query_budget = _budget_array(
-            estimator, classes, class_index, fanout, n, servers_list)
+        query_budget = _budget_array(estimator, queries, n)
 
     (latency, rejected, failed_q, coverage_q, degraded_q, busy_total,
      tasks_total, tasks_missed, tasks_failed, tasks_retried, tasks_hedged,
      tasks_cancelled, server_failures, now, sample_times, sample_queued,
      sample_busy) = _fault_loop(
-        policy, n, len(class_index), classes, class_index, fanout, arrival,
-        specs, servers_list, query_budget or None, estimator, online,
+        policy, n, queries, query_budget or None, estimator, online,
         config.admission, placement, server_stream, perturbations,
         perturbed_servers, placement_rng, config.timeline_interval_ms,
         rec if tracing else None, materialized.transitions(),
@@ -1069,9 +1073,9 @@ def simulate_with_faults(config: ClusterConfig) -> SimulationResult:
         ctrl, rc)
 
     return _finalize(
-        config, policy, n, server_cdfs, classes, class_index, fanout,
-        arrival, latency, rejected, busy_total, tasks_total, tasks_missed,
-        now, sample_times, sample_queued, sample_busy, rec, tracing,
+        config, policy, n, server_cdfs, queries, latency, rejected,
+        busy_total, tasks_total, tasks_missed, now, sample_times,
+        sample_queued, sample_busy, rec, tracing,
         failed=failed_q, tasks_failed=tasks_failed,
         tasks_retried=tasks_retried, tasks_hedged=tasks_hedged,
         tasks_cancelled=tasks_cancelled, server_failures=server_failures,

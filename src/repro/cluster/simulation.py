@@ -52,133 +52,106 @@ from repro.obs.events import (
     TASK_ENQUEUE,
 )
 from repro.types import ServiceClass
-from repro.workloads.generator import generate_queries, generate_query_arrays
+from repro.workloads.generator import QueryStream
 
 
-def _prepare_specs(config: ClusterConfig, spec_rng: np.random.Generator):
-    """Materialize the spec list and its per-query arrays.
+def _prepare_stream(config: ClusterConfig,
+                    spec_rng: np.random.Generator) -> QueryStream:
+    """The query stream for either calendar, checked and in arrival
+    order.
 
-    Shared by both calendars through :func:`_prepare_stream`, so they
-    see byte-identical traces for a given config.  Caller-supplied
-    specs (trace replay) are checked here: pre-assigned servers must
-    lie in ``[0, n)`` and arrival times must be finite.
+    ``config.specs`` may be a :class:`~repro.types.QuerySpec` sequence
+    (trace replay) or a :class:`QueryStream` (a federation shard's
+    slice); without it the stream is drawn from the workload with
+    ``spec_rng``.  Each source takes the same checks — fanouts at most
+    ``n``, pre-assigned servers in ``[0, n)``, finite arrival times, no
+    two different classes sharing one name — and comes out stably
+    sorted by arrival with its class table reduced to the classes in
+    use, in first-appearance order.  Shared by both calendars, so they
+    see byte-identical traces for a given config.
     """
-    if config.specs is not None:
-        specs = sorted(config.specs, key=lambda s: s.arrival_time)
+    source = config.specs
+    if source is None:
+        stream = QueryStream.generate(config.workload, config.n_queries,
+                                      spec_rng)
+    elif isinstance(source, QueryStream):
+        stream = source
     else:
-        specs = generate_queries(config.workload, config.n_queries, spec_rng)
-    if not specs:
+        stream = QueryStream.from_specs(source)
+    m = len(stream)
+    if not m:
         raise ConfigurationError("no queries to simulate")
-
     n = config.n_servers
-    m = len(specs)
-    classes: List[ServiceClass] = []
-    class_of: Dict[str, int] = {}
-    class_index = np.empty(m, dtype=np.int32)
-    fanout = np.empty(m, dtype=np.int32)
-    arrival = np.empty(m, dtype=np.float64)
-    for i, spec in enumerate(specs):
-        cls = spec.service_class
-        idx = class_of.get(cls.name)
-        if idx is None:
-            idx = len(classes)
-            class_of[cls.name] = idx
-            classes.append(cls)
-        elif classes[idx] != cls:
-            raise ConfigurationError(f"two different classes named {cls.name!r}")
-        class_index[i] = idx
-        fanout[i] = spec.fanout
-        arrival[i] = spec.arrival_time
-        if spec.fanout > n:
-            raise ConfigurationError(
-                f"query {spec.query_id}: fanout {spec.fanout} > {n} servers"
-            )
-        if spec.servers is not None:
-            for sid in spec.servers:
-                if not 0 <= sid < n:
-                    raise ConfigurationError(
-                        f"query {spec.query_id}: server {sid} outside "
-                        f"[0, {n})"
-                    )
+
+    arrival = stream.arrival
     finite = np.isfinite(arrival)
     if not finite.all():
         bad = int(np.argmin(finite))
         raise ConfigurationError(
-            f"query {specs[bad].query_id}: arrival time {arrival[bad]} "
+            f"query {stream.query_id(bad)}: arrival time {arrival[bad]} "
             f"is not finite"
         )
-    return specs, classes, class_index, fanout, arrival
+    if (arrival[1:] < arrival[:-1]).any():
+        stream = stream.take(np.argsort(arrival, kind="stable"))
 
-
-def _prepare_query_arrays(config: ClusterConfig,
-                          spec_rng: np.random.Generator):
-    """Array-form twin of :func:`_prepare_specs` for generated workloads.
-
-    Consumes the exact same RNG variates as the spec path (``generate_queries``
-    is itself built on :func:`generate_query_arrays`) but never
-    materializes :class:`~repro.types.QuerySpec` objects — the dominant
-    setup cost of large generated runs.  The class table is deduplicated
-    in first-appearance order, matching the spec loop, so ``class_index``
-    values and the ``classes`` tuple come out bit-identical.
-    """
-    times, fanouts, class_indices = generate_query_arrays(
-        config.workload, config.n_queries, spec_rng)
-    m = times.shape[0]
-    if m == 0:
-        raise ConfigurationError("no queries to simulate")
-    n = config.n_servers
-    if int(fanouts.max()) > n:
-        bad = int(np.argmax(fanouts > n))
+    fanout = stream.fanout
+    if int(fanout.max()) > n:
+        bad = int(np.argmax(fanout > n))
         raise ConfigurationError(
-            f"query {bad}: fanout {int(fanouts[bad])} > {n} servers"
+            f"query {stream.query_id(bad)}: fanout {int(fanout[bad])} > "
+            f"{n} servers"
         )
-    mix_classes = config.workload.class_mix.classes
-    uniq, first_pos, inverse = np.unique(
-        class_indices, return_index=True, return_inverse=True)
-    order = np.argsort(first_pos)
-    remap = np.empty(uniq.shape[0], dtype=np.int32)
-    remap[order] = np.arange(uniq.shape[0], dtype=np.int32)
-    class_index = remap[inverse]
-    classes = [mix_classes[int(uniq[i])] for i in order]
-    return classes, class_index, fanouts.astype(np.int32), times
+    if stream.servers is not None:
+        for i, servers in enumerate(stream.servers):
+            if servers is None:
+                continue
+            for sid in servers:
+                if not 0 <= sid < n:
+                    raise ConfigurationError(
+                        f"query {stream.query_id(i)}: server {sid} outside "
+                        f"[0, {n})"
+                    )
+
+    # The class table: classes in use, in first-appearance order, one
+    # entry per name.
+    class_index = stream.class_index
+    used = np.flatnonzero(np.bincount(class_index))
+    first = [int(np.argmax(class_index == c)) for c in used.tolist()]
+    classes: List[ServiceClass] = []
+    class_of: Dict[str, int] = {}
+    remap = np.zeros(len(stream.classes), dtype=np.int32)
+    for c in used[np.argsort(first)].tolist():
+        cls = stream.classes[c]
+        idx = class_of.get(cls.name)
+        if idx is None:
+            idx = class_of[cls.name] = len(classes)
+            classes.append(cls)
+        elif classes[idx] != cls:
+            raise ConfigurationError(
+                f"two different classes named {cls.name!r}")
+        remap[c] = idx
+    return QueryStream(stream.arrival, fanout, remap[class_index], classes,
+                       stream.servers, stream.query_ids)
 
 
-def _prepare_stream(config: ClusterConfig, spec_rng: np.random.Generator):
-    """The query stream for either calendar: ``(specs, servers_list,
-    classes, class_index, fanout, arrival)``.
-
-    Array form (``specs`` and ``servers_list`` are ``None``) unless a
-    spec list or a placement hook needs the :class:`QuerySpec` objects;
-    both forms draw the same RNG variates.
-    """
-    if config.specs is None and config.placement is None:
-        classes, class_index, fanout, arrival = _prepare_query_arrays(
-            config, spec_rng)
-        return None, None, classes, class_index, fanout, arrival
-    specs, classes, class_index, fanout, arrival = _prepare_specs(
-        config, spec_rng)
-    servers_list = [spec.servers for spec in specs]
-    return specs, servers_list, classes, class_index, fanout, arrival
-
-
-def _budget_array(estimator: DeadlineEstimator, classes,
-                  class_index: np.ndarray, fanout: np.ndarray,
-                  n: int, servers_list=None) -> List[float]:
+def _budget_array(estimator: DeadlineEstimator, stream: QueryStream,
+                  n: int) -> List[float]:
     """Hoisted deadline budgets for the static homogeneous fast path.
 
     Budgets depend only on the (class, fanout) pair, so evaluate the
     whole table once — one ``budget_table()`` call per class over the
     distinct fanouts, gathered into a per-query array.  Stamping ``t_D``
     then costs an indexed add instead of an estimator call per query.
-    ``servers_list`` holds each query's pre-placed servers (or ``None``
-    when the simulator places it); omit it when every query is free.
-    Returns ``[]`` when no query is eligible (all pre-placed).
+    Queries with pre-assigned servers get NaN.  Returns ``[]`` when no
+    query is eligible (all pre-placed).
     """
+    class_index, fanout, classes = (stream.class_index, stream.fanout,
+                                    stream.classes)
     m = len(class_index)
-    if servers_list is None:
+    if stream.servers is None:
         free = np.ones(m, dtype=bool)
     else:
-        free = np.fromiter((servers is None for servers in servers_list),
+        free = np.fromiter((servers is None for servers in stream.servers),
                            dtype=bool, count=m)
     if not free.any():
         return []
@@ -302,10 +275,10 @@ def _place(placement, spec, placement_rng, depths, n: int, k: int,
     return servers
 
 
-def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
-               specs, servers_list, query_budget, estimator, online: bool,
-               admission, placement, server_stream, perturbations,
-               perturbed_servers, placement_rng, sample_interval, rec):
+def _fast_loop(policy, n: int, queries: QueryStream, query_budget,
+               estimator, online: bool, admission, placement, server_stream,
+               perturbations, perturbed_servers, placement_rng,
+               sample_interval, rec):
     """The no-fault calendar: sorted arrivals merged against a
     completion heap, with plain-list state.
 
@@ -331,9 +304,13 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
     queue_objects = not is_fifo and not inline_heap
     key_is_deadline = type(policy) is TFEDFPolicy
     queue_key = policy.queue_key
-    arrival_l = arrival.tolist()
-    fanout_l = fanout.tolist()
-    class_index_l = class_index.tolist()
+    m = len(queries)
+    classes = queries.classes
+    arrival_l = queries.arrival.tolist()
+    fanout_l = queries.fanout.tolist()
+    class_index_l = queries.class_index.tolist()
+    servers_list = queries.servers
+    spec_of = queries.spec
     slo_by_class = [cls.slo_ms for cls in classes]
     class_names = [cls.name for cls in classes]
     est_homogeneous = estimator.homogeneous
@@ -509,7 +486,7 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
         if pre is not None:
             servers = pre
         elif placement is not None:
-            servers = _place(placement, specs[qidx], placement_rng,
+            servers = _place(placement, spec_of(qidx), placement_rng,
                              _queue_depths(queues, busy) if wants_depths
                              else None, n, k, qidx)
         elif k == n:
@@ -598,8 +575,8 @@ def _fast_loop(policy, n: int, m: int, classes, class_index, fanout, arrival,
             sample_times, sample_queued, sample_busy)
 
 
-def _finalize(config: ClusterConfig, policy, n: int, server_cdfs, classes,
-              class_index, fanout, arrival, latency, rejected,
+def _finalize(config: ClusterConfig, policy, n: int, server_cdfs,
+              queries: QueryStream, latency, rejected,
               busy_total: float, tasks_total: int, tasks_missed: int,
               now: float, sample_times, sample_queued, sample_busy,
               rec, tracing: bool, **fault_fields) -> SimulationResult:
@@ -608,7 +585,8 @@ def _finalize(config: ClusterConfig, policy, n: int, server_cdfs, classes,
     Used by every loop on both calendars; the fault calendar passes its
     outcome counters and masks through as ``fault_fields``.
     """
-    m = len(class_index)
+    arrival, fanout = queries.arrival, queries.fanout
+    m = len(queries)
     warmup_count = int(m * config.warmup_fraction)
     measured = np.zeros(m, dtype=bool)
     measured[warmup_count:] = True
@@ -644,8 +622,8 @@ def _finalize(config: ClusterConfig, policy, n: int, server_cdfs, classes,
         n_servers=n,
         seed=config.seed,
         offered_load=offered,
-        classes=tuple(classes),
-        class_index=class_index,
+        classes=queries.classes,
+        class_index=queries.class_index,
         fanout=fanout,
         arrival=arrival,
         latency=latency,
@@ -696,8 +674,7 @@ def simulate(config: ClusterConfig) -> SimulationResult:
     tracing = rec is not None and rec.enabled
     placement = config.placement
 
-    specs, servers_list, classes, class_index, fanout, arrival = (
-        _prepare_stream(config, spec_rng))
+    queries = _prepare_stream(config, spec_rng)
 
     perturbations = tuple(config.perturbations)
     perturbed_servers = (
@@ -708,17 +685,14 @@ def simulate(config: ClusterConfig) -> SimulationResult:
     online = estimator.online_enabled
     query_budget: List[float] = []
     if estimator.homogeneous and not online and placement is None:
-        query_budget = _budget_array(estimator, classes, class_index,
-                                     fanout, n, servers_list)
+        query_budget = _budget_array(estimator, queries, n)
 
     (latency, rejected, busy_total, tasks_total, tasks_missed, now,
      sample_times, sample_queued, sample_busy) = _fast_loop(
-        policy, n, len(class_index), classes, class_index, fanout, arrival,
-        specs, servers_list, query_budget or None, estimator, online,
+        policy, n, queries, query_budget or None, estimator, online,
         config.admission, placement, server_stream, perturbations,
         perturbed_servers, placement_rng, config.timeline_interval_ms,
         rec if tracing else None)
-    return _finalize(config, policy, n, server_cdfs, classes, class_index,
-                     fanout, arrival, latency, rejected, busy_total,
-                     tasks_total, tasks_missed, now, sample_times,
-                     sample_queued, sample_busy, rec, tracing)
+    return _finalize(config, policy, n, server_cdfs, queries, latency,
+                     rejected, busy_total, tasks_total, tasks_missed, now,
+                     sample_times, sample_queued, sample_busy, rec, tracing)

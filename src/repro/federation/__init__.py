@@ -13,14 +13,13 @@ federation-scope view (:class:`FederationResult`, built on
 
 from repro.federation.config import FederationConfig, SpillPolicy
 from repro.federation.results import FederationResult
-from repro.federation.router import ROUTERS, FrontTier, RouteOutcome, route_queries
+from repro.federation.router import ROUTERS, RouteOutcome, route_queries
 from repro.federation.simulation import simulate_federation
 
 __all__ = [
     "ROUTERS",
     "FederationConfig",
     "FederationResult",
-    "FrontTier",
     "RouteOutcome",
     "SpillPolicy",
     "route_queries",

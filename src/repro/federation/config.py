@@ -12,6 +12,7 @@ wrappers over :meth:`evolve`, which is
 
 from __future__ import annotations
 
+import math
 from dataclasses import KW_ONLY, dataclass
 from typing import Optional, Tuple
 
@@ -39,9 +40,9 @@ class SpillPolicy:
     margin_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.margin_ms < 0:
+        if not (math.isfinite(self.margin_ms) and self.margin_ms >= 0):
             raise ConfigurationError(
-                f"margin_ms must be >= 0, got {self.margin_ms}"
+                f"margin_ms must be finite and >= 0, got {self.margin_ms}"
             )
 
 
@@ -54,7 +55,7 @@ class FederationConfig:
     its deadline budgets); arrivals, fanouts and service classes come
     from the federation-level ``workload``, routed by the front tier.
     Shard templates must not be spec-driven — the front tier supplies
-    the specs.
+    each shard's slice of its query stream.
 
     Like ``ClusterConfig``, all optional fields are keyword-only and
     the fluent helpers (:meth:`at_load`, :meth:`with_seed`,
@@ -103,7 +104,7 @@ class FederationConfig:
                 raise ConfigurationError(
                     f"shard {i} is spec-driven; federation shards are "
                     f"workload-driven templates — the front tier supplies "
-                    f"the specs"
+                    f"their queries"
                 )
         if self.workload is None:
             raise ConfigurationError(
@@ -132,9 +133,10 @@ class FederationConfig:
             raise ConfigurationError(
                 f"n_tenants must be >= 1, got {self.n_tenants}"
             )
-        if self.tenant_alpha <= 0:
+        if not (math.isfinite(self.tenant_alpha) and self.tenant_alpha > 0):
             raise ConfigurationError(
-                f"tenant_alpha must be positive, got {self.tenant_alpha}"
+                f"tenant_alpha must be finite and positive, got "
+                f"{self.tenant_alpha}"
             )
         if self.recorder is not None and getattr(self.recorder, "enabled",
                                                  False):

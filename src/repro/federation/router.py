@@ -6,11 +6,14 @@ has no access to shard-internal queue state (shards are separate
 failure/scaling domains); instead it maintains a **fluid backlog
 model**: per-shard outstanding work ``W_s`` in server-milliseconds,
 drained at the shard's aggregate capacity (``n_s`` server-ms per ms)
-between arrivals and credited ``fanout × E[S_s]`` on each assignment.
-``W_s / n_s`` is then the estimated queueing delay a new query would
-see on shard ``s`` — the delayed-but-cheap global signal the
-load-balancing literature uses at this tier (cf. the power-of-two
-results surveyed in PAPERS.md).
+between arrivals, clamped at zero, and credited ``fanout × E[S_s]``
+on each assignment.  ``W_s / n_s`` is then the estimated queueing
+delay a new query would see on shard ``s`` — the delayed-but-cheap
+global signal the load-balancing literature uses at this tier (cf.
+the power-of-two results surveyed in PAPERS.md).  The model lives in
+:func:`route_queries`'s per-query loop as plain Python floats, one
+entry per shard: with a handful of shards, NumPy's per-call overhead
+would cost more than the arithmetic.
 
 Routers (``FederationConfig.router``):
 
@@ -71,7 +74,7 @@ ROUTERS: Tuple[str, ...] = ("jsq", "p2c", "least-slack", "tenant")
 
 @dataclass
 class RouteOutcome:
-    """Per-query routing decisions, aligned with the front-tier spec
+    """Per-query routing decisions, aligned with the front-tier query
     stream (global arrival order)."""
 
     #: Shard index serving each query.
@@ -96,38 +99,6 @@ def shard_mean_service_ms(shard) -> float:
     return float(np.mean([dist.mean() for dist in cdfs.values()]))
 
 
-class FrontTier:
-    """Fluid backlog model over the federation's shards.
-
-    Tracks per-shard outstanding work ``W_s`` (server-ms): drained at
-    capacity ``n_s`` per simulated ms between arrivals, credited
-    ``fanout × E[S_s]`` per assignment.  ``delays()`` is the estimated
-    per-shard queueing delay ``W_s / n_s``.
-    """
-
-    def __init__(self, shards: Sequence) -> None:
-        self.capacity = np.array([float(s.n_servers) for s in shards])
-        self.mean_ms = np.array([shard_mean_service_ms(s) for s in shards])
-        self.work = np.zeros(len(self.capacity))
-        self._clock = 0.0
-
-    def advance(self, now: float) -> None:
-        """Drain backlog up to simulation time ``now``."""
-        dt = now - self._clock
-        if dt > 0.0:
-            self.work -= dt * self.capacity
-            np.maximum(self.work, 0.0, out=self.work)
-            self._clock = now
-
-    def delays(self) -> np.ndarray:
-        """Estimated queueing delay per shard (ms)."""
-        return self.work / self.capacity
-
-    def assign(self, shard: int, fanout: int) -> None:
-        """Credit one query's work to a shard."""
-        self.work[shard] += fanout * self.mean_ms[shard]
-
-
 class _ShardBudgets:
     """Memoized per-shard TailGuard budgets ``T_b(class, fanout)``.
 
@@ -146,26 +117,102 @@ class _ShardBudgets:
             if est is None:
                 est = DeadlineEstimator(dict(shard.resolve_server_cdfs()))
             self._estimators.append(est)
-        self._n = np.array([s.n_servers for s in shards])
-        self._memo: Dict[Tuple[int, int], np.ndarray] = {}
+        self._n = [s.n_servers for s in shards]
+        self._memo: Dict[Tuple[int, int], List[float]] = {}
 
     def vector(self, service_class: ServiceClass, class_idx: int,
-               fanout: int) -> np.ndarray:
-        """Budgets across shards (NaN where the fanout does not fit)."""
+               fanout: int) -> List[float]:
+        """Budgets across shards (``-inf`` where the fanout does not
+        fit, so a slack computed from it never wins)."""
         key = (class_idx, fanout)
         vec = self._memo.get(key)
         if vec is None:
-            vec = np.full(len(self._estimators), np.nan)
+            vec = []
             for s, est in enumerate(self._estimators):
                 if fanout > self._n[s]:
-                    continue
-                if est.homogeneous:
-                    vec[s] = est.budget(service_class, fanout=fanout)
+                    vec.append(-np.inf)
+                elif est.homogeneous:
+                    vec.append(float(est.budget(service_class,
+                                                fanout=fanout)))
                 else:
-                    vec[s] = est.budget(service_class,
-                                        servers=tuple(range(fanout)))
+                    vec.append(float(est.budget(
+                        service_class, servers=tuple(range(fanout)))))
             self._memo[key] = vec
         return vec
+
+
+def _least_delay(delay: List[float], elig: List[int], every: List[int],
+                 tie_draws: np.ndarray, i: int) -> int:
+    """The eligible shard with the least estimated delay.
+
+    Ties go to ``tie_draws[i]`` modulo their count, over the tied shards
+    in ascending order; the draw is read only when a tie occurs.
+    ``elig is every`` marks the common case where every shard fits.
+    """
+    if elig is every:
+        best = min(delay)
+        if delay.count(best) == 1:
+            return delay.index(best)
+        ties = [s for s, d in enumerate(delay) if d == best]
+    else:
+        cand = [delay[s] for s in elig]
+        best = min(cand)
+        if cand.count(best) == 1:
+            return elig[cand.index(best)]
+        ties = [s for s in elig if delay[s] == best]
+    return ties[int(tie_draws[i]) % len(ties)]
+
+
+def _least_slack(vec: List[float], delay: List[float], elig: List[int],
+                 scorer, mean_ms: List[float]) -> int:
+    """least-slack's pick: the tightest non-negative slack (with a
+    scorer, the best-scored feasible shard), else the most slack (the
+    best-scored eligible shard).  Ties go to the lowest shard index."""
+    slack = [b - d for b, d in zip(vec, delay)]
+    feasible = [s for s in elig if slack[s] >= 0.0]
+    if scorer is not None:
+        pool = feasible or elig
+        scores = [scorer.score(delay[s], mean_ms[s]) for s in pool]
+        return pool[scores.index(min(scores))]
+    if feasible:
+        return min(feasible, key=slack.__getitem__)
+    return slack.index(max(slack))
+
+
+def _eligible_shards(n_servers: List[int], fanout: np.ndarray
+                     ) -> Tuple[List[int], Dict[int, List[int]]]:
+    """``(every, eligible)``: all shard indices, and the shards each
+    distinct fanout fits, ascending.  A fanout that fits every shard
+    maps to ``every`` itself, so the router tests that case by
+    identity."""
+    largest = max(n_servers)
+    if fanout.size and int(fanout.max()) > largest:
+        k = int(fanout[int(np.argmax(fanout > largest))])
+        raise ConfigurationError(
+            f"fanout {k} exceeds every shard's server count "
+            f"(largest shard has {largest})"
+        )
+    every = list(range(len(n_servers)))
+    eligible: Dict[int, List[int]] = {}
+    for k in np.flatnonzero(np.bincount(fanout)).tolist():
+        fits = [s for s in every if n_servers[s] >= k]
+        eligible[k] = every if fits == every else fits
+    return every, eligible
+
+
+def _p2c_picks(rng: np.random.Generator, fanout: np.ndarray,
+               eligible: Dict[int, List[int]]) -> Tuple[List[int], List[int]]:
+    """p2c's two distinct positions among each query's eligible shards,
+    from one pair of raw draws per query (a lone eligible shard gets
+    positions 0 and 0)."""
+    draws = rng.integers(0, np.iinfo(np.int64).max, size=(fanout.size, 2))
+    widths = np.zeros(max(eligible, default=0) + 1, dtype=np.int64)
+    for k, elig in eligible.items():
+        widths[k] = len(elig)
+    width = widths[fanout]
+    a = draws[:, 0] % width
+    b = (a + 1 + draws[:, 1] % np.maximum(width - 1, 1)) % width
+    return a.tolist(), b.tolist()
 
 
 def route_queries(config, classes: Sequence[ServiceClass],
@@ -174,116 +221,114 @@ def route_queries(config, classes: Sequence[ServiceClass],
                   rng: np.random.Generator) -> RouteOutcome:
     """Assign every query in the front-tier stream to a shard.
 
-    Arrays are the columnar form of the generated spec stream (already
-    in arrival order).  ``rng`` is the router's own child stream —
-    consumed only by the ``p2c`` draws and the ``tenant`` Zipf draw, so
-    routing randomness never perturbs shard-internal seeding.
+    Arrays are the columns of the front-tier
+    :class:`~repro.workloads.QueryStream` (already in arrival order).
+    ``rng`` is the router's own child stream — consumed only by the
+    ``tenant`` Zipf draw, the ``p2c`` draws and the ``jsq``/``tenant``
+    tie-break draws, so routing randomness never perturbs
+    shard-internal seeding.
+
+    One loop serves every router.  Per arrival it drains each shard's
+    backlog ``W_s -= dt * n_s``, clamps it at zero and keeps the delay
+    ``W_s / n_s`` beside it; an assignment credits ``k * E[S_s]``.  The
+    float operations, their order and every tie rule (lowest index for
+    argmin and argmax, ascending shard order for tie-breaks) are those
+    of the element-wise NumPy model this loop replaced, so the golden
+    corpus pins routing bit for bit.  No comprehension here reads loop
+    state, which keeps the hot locals out of closure cells.
     """
     shards = config.shards
     n_shards = len(shards)
-    tier = FrontTier(shards)
-    need_budgets = config.router == "least-slack" or config.spill is not None
-    budgets = _ShardBudgets(shards) if need_budgets else None
-    n_servers = np.array([s.n_servers for s in shards])
-    elig_mask: Dict[int, np.ndarray] = {}
-    elig_idx: Dict[int, np.ndarray] = {}
+    router = config.router
+    spill = config.spill
+    scorer = getattr(config, "scorer", None)
+    n_servers = [s.n_servers for s in shards]
+    capacity = [float(n) for n in n_servers]
+    mean_ms = [shard_mean_service_ms(s) for s in shards]
+    budgets = (_ShardBudgets(shards)
+               if router == "least-slack" or spill is not None else None)
+    fanout = np.asarray(fanout)
+    m = int(fanout.shape[0])
+    every, eligible = _eligible_shards(n_servers, fanout)
 
-    def eligible(k: int) -> np.ndarray:
-        mask = elig_mask.get(k)
-        if mask is None:
-            mask = n_servers >= k
-            if not mask.any():
-                raise ConfigurationError(
-                    f"fanout {k} exceeds every shard's server count "
-                    f"(largest shard has {int(n_servers.max())})"
-                )
-            elig_mask[k] = mask
-            elig_idx[k] = np.flatnonzero(mask)
-        return mask
-
-    m = int(len(fanout))
-    shard_of = np.empty(m, dtype=np.int32)
-    spilled = np.zeros(m, dtype=bool)
     tenant_of: Optional[np.ndarray] = None
-    home_of: Optional[np.ndarray] = None
-    if config.router == "tenant":
+    home: List[int] = []
+    if router == "tenant":
         ranks = np.arange(1, config.n_tenants + 1, dtype=float)
         weights = ranks ** -config.tenant_alpha
         tenant_of = rng.choice(config.n_tenants, size=m,
                                p=weights / weights.sum())
-        home_of = tenant_of % n_shards
-    draws: Optional[np.ndarray] = None
-    if config.router == "p2c":
-        draws = rng.integers(0, np.iinfo(np.int64).max, size=(m, 2))
+        home = (tenant_of % n_shards).tolist()
+    pick_a: List[int] = []
+    pick_b: List[int] = []
+    if router == "p2c":
+        pick_a, pick_b = _p2c_picks(rng, fanout, eligible)
     tie_draws: Optional[np.ndarray] = None
-    if config.router in ("jsq", "tenant"):
+    if router in ("jsq", "tenant"):
         # Randomized tie-break: an idle federation has all-zero backlog
         # on every shard, and a deterministic argmin would pile the
         # whole stream onto shard 0 until backlog accrues.
         tie_draws = rng.integers(0, np.iinfo(np.int64).max, size=m)
 
-    def pick_least_delay(delay: np.ndarray, mask: np.ndarray,
-                         draw: int) -> int:
-        masked = np.where(mask, delay, np.inf)
-        ties = np.flatnonzero(masked == masked.min())
-        if ties.size == 1:
-            return int(ties[0])
-        return int(ties[draw % ties.size])
-
-    margin = config.spill.margin_ms if config.spill is not None else 0.0
-    router = config.router
-    scorer = getattr(config, "scorer", None)
+    neg_margin = -spill.margin_ms if spill is not None else 0.0
+    arrival_l = np.asarray(arrival, dtype=np.float64).tolist()
+    fanout_l = fanout.tolist()
+    class_l = np.asarray(class_index).tolist() if budgets is not None else []
+    shard_ids = range(n_shards)
+    work = [0.0] * n_shards
+    delay = [0.0] * n_shards
+    clock = 0.0
+    shard_of = [0] * m
+    spilled_at: List[int] = []
 
     for i in range(m):
-        tier.advance(float(arrival[i]))
-        k = int(fanout[i])
-        mask = eligible(k)
-        delay = tier.work / tier.capacity
+        now = arrival_l[i]
+        dt = now - clock
+        if dt > 0.0:
+            clock = now
+            for s in shard_ids:
+                w = work[s]
+                if w:  # an idle shard stays at zero
+                    w -= dt * capacity[s]
+                    if w > 0.0:
+                        work[s] = w
+                        delay[s] = w / capacity[s]
+                    else:
+                        work[s] = 0.0
+                        delay[s] = 0.0
+        k = fanout_l[i]
+        elig = eligible[k]
         if router == "jsq":
-            shard = pick_least_delay(delay, mask, int(tie_draws[i]))
+            shard = _least_delay(delay, elig, every, tie_draws, i)
         elif router == "p2c":
-            idx = elig_idx[k]
-            width = int(idx.size)
-            if width == 1:
-                shard = int(idx[0])
-            else:
-                # Two distinct positions from one pair of raw draws.
-                a = int(draws[i, 0] % width)
-                b = (a + 1 + int(draws[i, 1] % (width - 1))) % width
-                first, second = int(idx[a]), int(idx[b])
-                shard = first if delay[first] <= delay[second] else second
+            first = elig[pick_a[i]]
+            second = elig[pick_b[i]]
+            shard = first if delay[first] <= delay[second] else second
         elif router == "least-slack":
-            vec = budgets.vector(classes[int(class_index[i])],
-                                 int(class_index[i]), k)
-            slack = np.where(mask, vec - delay, -np.inf)
-            feasible = slack >= 0.0
-            if scorer is not None:
-                score = np.array([
-                    scorer.score(float(delay[s]), float(tier.mean_ms[s]))
-                    for s in range(n_shards)
-                ])
-                pool = feasible if feasible.any() else mask
-                shard = int(np.argmin(np.where(pool, score, np.inf)))
-            elif feasible.any():
-                shard = int(np.argmin(np.where(feasible, slack, np.inf)))
-            else:
-                shard = int(np.argmax(slack))
+            ci = class_l[i]
+            shard = _least_slack(budgets.vector(classes[ci], ci, k), delay,
+                                 elig, scorer, mean_ms)
         else:  # tenant
-            shard = int(home_of[i])
-            if not mask[shard]:
-                shard = pick_least_delay(delay, mask, int(tie_draws[i]))
-        if config.spill is not None:
-            vec = budgets.vector(classes[int(class_index[i])],
-                                 int(class_index[i]), k)
-            primary_slack = float(vec[shard] - delay[shard])
-            if primary_slack < -margin:
-                slack = np.where(mask, vec - delay, -np.inf)
-                alt = int(np.argmax(slack))
-                if alt != shard and float(slack[alt]) > primary_slack:
+            shard = home[i]
+            if n_servers[shard] < k:
+                shard = _least_delay(delay, elig, every, tie_draws, i)
+        if spill is not None:
+            ci = class_l[i]
+            vec = budgets.vector(classes[ci], ci, k)
+            primary = vec[shard] - delay[shard]
+            if primary < neg_margin:
+                slack = [b - d for b, d in zip(vec, delay)]
+                best = max(slack)
+                alt = slack.index(best)
+                if alt != shard and best > primary:
                     shard = alt
-                    spilled[i] = True
+                    spilled_at.append(i)
         shard_of[i] = shard
-        tier.assign(shard, k)
+        w = work[shard] + k * mean_ms[shard]
+        work[shard] = w
+        delay[shard] = w / capacity[shard]
 
-    return RouteOutcome(shard_of=shard_of, spilled=spilled,
-                        tenant_of=tenant_of)
+    spilled = np.zeros(m, dtype=bool)
+    spilled[spilled_at] = True
+    return RouteOutcome(shard_of=np.array(shard_of, dtype=np.int32),
+                        spilled=spilled, tenant_of=tenant_of)

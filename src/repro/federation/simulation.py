@@ -1,11 +1,12 @@
 """Two-level federation simulation.
 
-:func:`simulate_federation` materializes the front-tier query stream,
-routes every query to a shard (:mod:`repro.federation.router`), runs
-each shard's TF-EDFQ cluster on the existing golden-pinned kernels —
-fanned out over the persistent worker pool via
-:func:`repro.experiments.run_simulations` — and composes the per-shard
-results back into one federation-scope
+:func:`simulate_federation` draws the front-tier query stream once as
+a columnar :class:`~repro.workloads.QueryStream`, routes every query
+to a shard (:mod:`repro.federation.router`), hands each shard its
+slice of the stream (``stream.take``), runs each shard's TF-EDFQ
+cluster on the existing golden-pinned kernels — fanned out over the
+persistent worker pool via :func:`repro.experiments.run_simulations`
+— and composes the per-shard results back into one federation-scope
 :class:`~repro.cluster.SimulationResult` with
 :meth:`SimulationResult.merge`, global arrival order restored.
 
@@ -31,7 +32,7 @@ from repro.federation.config import FederationConfig
 from repro.federation.results import FederationResult
 from repro.federation.router import route_queries
 from repro.obs.recorder import TraceRecorder
-from repro.workloads.generator import generate_queries
+from repro.workloads.generator import QueryStream
 
 
 def simulate_federation(config: FederationConfig,
@@ -44,28 +45,10 @@ def simulate_federation(config: FederationConfig,
     """
     root = np.random.default_rng(config.seed)
     spec_rng, router_rng, _reserved = root.spawn(3)
-    specs = generate_queries(config.workload, config.n_queries, spec_rng)
-    m = len(specs)
-
-    # Columnar view of the stream (deduplicated class table in
-    # first-appearance order, matching the kernel's convention).
-    classes: List = []
-    index_of = {}
-    class_index = np.empty(m, dtype=np.int64)
-    fanout = np.empty(m, dtype=np.int64)
-    arrival = np.empty(m, dtype=np.float64)
-    for i, spec in enumerate(specs):
-        idx = index_of.get(spec.service_class.name)
-        if idx is None:
-            idx = len(classes)
-            index_of[spec.service_class.name] = idx
-            classes.append(spec.service_class)
-        class_index[i] = idx
-        fanout[i] = spec.fanout
-        arrival[i] = spec.arrival_time
-
-    route = route_queries(config, classes, class_index, fanout, arrival,
-                          router_rng)
+    stream = QueryStream.generate(config.workload, config.n_queries,
+                                  spec_rng)
+    route = route_queries(config, stream.classes, stream.class_index,
+                          stream.fanout, stream.arrival, router_rng)
 
     fed_tracing = (config.recorder is not None
                    and getattr(config.recorder, "enabled", False))
@@ -77,11 +60,10 @@ def simulate_federation(config: FederationConfig,
         idx = np.flatnonzero(route.shard_of == s)
         if idx.size == 0:
             continue
-        sub = tuple(specs[int(i)] for i in idx)
         changes = dict(
             workload=None,
-            specs=sub,
-            n_queries=len(sub),
+            specs=stream.take(idx),
+            n_queries=int(idx.size),
             server_cdfs=dict(shard.resolve_server_cdfs()),
         )
         if fed_tracing and shard.recorder is None:

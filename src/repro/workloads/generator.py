@@ -3,21 +3,23 @@
 A :class:`Workload` bundles the three ingredients of §IV.A (arrival
 process, fanout distribution, service-time distribution) plus the
 service-class mix, and knows how to re-rate itself to a target offered
-load.  :func:`generate_queries` materializes query specs for the
-simulator or for trace recording.
+load.  :class:`QueryStream` is the columnar query stream both
+simulation kernels and the federation front tier run on;
+:func:`generate_queries` materializes the same draws as query specs
+(trace recording, the DES kernel).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.distributions import Distribution
 from repro.errors import ConfigurationError
-from repro.types import QuerySpec
+from repro.types import QuerySpec, ServiceClass
 from repro.workloads.arrivals import ArrivalProcess
 from repro.workloads.classes import ClassMix
 from repro.workloads.fanout import FanoutDistribution
@@ -90,9 +92,9 @@ def generate_query_arrays(
     Returns ``(arrival_times, fanouts, class_indices)`` drawn with the
     exact same RNG consumption as :func:`generate_queries` (which is
     implemented on top of this), so consumers that only need columns —
-    notably the simulation kernel's generated-workload fast path — skip
-    materializing ``n`` :class:`~repro.types.QuerySpec` objects without
-    perturbing any seeded trace.  ``class_indices`` index into
+    notably :meth:`QueryStream.generate` — skip materializing ``n``
+    :class:`~repro.types.QuerySpec` objects without perturbing any
+    seeded trace.  ``class_indices`` index into
     ``workload.class_mix.classes``.
     """
     if n < 0:
@@ -137,34 +139,103 @@ def generate_queries(
 
 
 class QueryStream:
-    """Lazy query generator for open-ended (time-bounded) simulations."""
+    """A columnar query stream: one row per query, as parallel arrays.
 
-    def __init__(self, workload: Workload, rng: np.random.Generator,
-                 start: float = 0.0, block: int = 4096) -> None:
-        self._workload = workload
-        self._rng = rng
-        self._clock = start
-        self._block = block
-        self._next_id = 0
-        self._pending: List[QuerySpec] = []
+    ``arrival`` holds arrival times (float64 ms); ``fanout`` and
+    ``class_index`` hold each query's fanout and its index into
+    ``classes``, in the simulation kernels' int32.  ``servers`` is
+    ``None`` when the simulator places every query, else a list with
+    each query's pre-assigned server tuple (``None`` where the
+    simulator places it).  ``query_ids`` is ``None`` when the ids are
+    the row positions, else the caller's id per row.
 
-    def __iter__(self) -> Iterator[QuerySpec]:
-        return self
+    A stream comes from three places: :meth:`generate` draws one from a
+    workload, :meth:`from_specs` packs a :class:`~repro.types.QuerySpec`
+    sequence (trace replay), and :meth:`take` slices another stream
+    with NumPy indexing (the federation front tier hands each shard its
+    slice this way).  :meth:`spec` rebuilds one row as a ``QuerySpec``
+    for the placement hook.
+    """
 
-    def __next__(self) -> QuerySpec:
-        if not self._pending:
-            batch = generate_queries(self._workload, self._block, self._rng,
-                                     start=self._clock)
-            batch = [
-                QuerySpec(
-                    query_id=spec.query_id + self._next_id,
-                    arrival_time=spec.arrival_time,
-                    fanout=spec.fanout,
-                    service_class=spec.service_class,
-                )
-                for spec in batch
-            ]
-            self._next_id += len(batch)
-            self._clock = batch[-1].arrival_time
-            self._pending = list(reversed(batch))
-        return self._pending.pop()
+    __slots__ = ("arrival", "fanout", "class_index", "classes", "servers",
+                 "query_ids")
+
+    def __init__(self, arrival, fanout, class_index,
+                 classes: Sequence[ServiceClass],
+                 servers: Optional[List[Optional[Tuple[int, ...]]]] = None,
+                 query_ids: Optional[np.ndarray] = None) -> None:
+        self.arrival = np.asarray(arrival, dtype=np.float64)
+        self.fanout = np.asarray(fanout, dtype=np.int32)
+        self.class_index = np.asarray(class_index, dtype=np.int32)
+        self.classes = tuple(classes)
+        self.servers = servers
+        self.query_ids = query_ids
+
+    @classmethod
+    def generate(cls, workload: Workload, n: int, rng: np.random.Generator,
+                 start: float = 0.0) -> "QueryStream":
+        """``n`` queries drawn from ``workload``, with the RNG draws of
+        :func:`generate_query_arrays` (and so of
+        :func:`generate_queries`)."""
+        times, fanouts, class_indices = generate_query_arrays(
+            workload, n, rng, start)
+        return cls(times, fanouts, class_indices, workload.class_mix.classes)
+
+    @classmethod
+    def from_specs(cls, specs: Sequence[QuerySpec]) -> "QueryStream":
+        """Pack a spec sequence, in its given order, keeping each spec's
+        id and pre-assigned servers.  The class table lists each
+        distinct class object once, in first-appearance order."""
+        m = len(specs)
+        arrival = np.empty(m, dtype=np.float64)
+        fanout = np.empty(m, dtype=np.int32)
+        class_index = np.empty(m, dtype=np.int32)
+        query_ids = np.empty(m, dtype=np.int64)
+        servers: List[Optional[Tuple[int, ...]]] = []
+        placed = False
+        classes: List[ServiceClass] = []
+        index_of: Dict[int, int] = {}
+        for i, spec in enumerate(specs):
+            cls_ = spec.service_class
+            idx = index_of.get(id(cls_))
+            if idx is None:
+                idx = index_of[id(cls_)] = len(classes)
+                classes.append(cls_)
+            arrival[i] = spec.arrival_time
+            fanout[i] = spec.fanout
+            class_index[i] = idx
+            query_ids[i] = spec.query_id
+            servers.append(spec.servers)
+            placed = placed or spec.servers is not None
+        return cls(arrival, fanout, class_index, classes,
+                   servers if placed else None, query_ids)
+
+    def __len__(self) -> int:
+        return int(self.arrival.shape[0])
+
+    def take(self, idx: np.ndarray) -> "QueryStream":
+        """The rows at positions ``idx``, in that order.  Rows keep
+        their ids: a slice of a stream without ids takes the positions
+        as ids."""
+        idx = np.asarray(idx, dtype=np.int64)
+        servers = self.servers
+        if servers is not None:
+            servers = [servers[i] for i in idx.tolist()]
+        ids = self.query_ids
+        return QueryStream(self.arrival[idx], self.fanout[idx],
+                           self.class_index[idx], self.classes, servers,
+                           idx if ids is None else ids[idx])
+
+    def query_id(self, i: int) -> int:
+        """The id of row ``i``."""
+        return i if self.query_ids is None else int(self.query_ids[i])
+
+    def spec(self, i: int) -> QuerySpec:
+        """Row ``i`` as a :class:`~repro.types.QuerySpec`."""
+        return QuerySpec(
+            query_id=self.query_id(i),
+            arrival_time=float(self.arrival[i]),
+            fanout=int(self.fanout[i]),
+            service_class=self.classes[self.class_index[i]],
+            servers=None if self.servers is None else self.servers[i],
+        )

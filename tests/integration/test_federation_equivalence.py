@@ -25,8 +25,8 @@ from repro import (
 )
 from repro.experiments.setups import paper_single_class_config
 from repro.workloads import PoissonArrivals
+from tests.integration.test_parallel_runner import assert_same_result
 from tests.integration.test_replica_equivalence import (
-    controller_fingerprint,
     workload_config as replica_config,
 )
 
@@ -132,27 +132,40 @@ def test_multi_shard_merge_restores_global_arrival_order():
             assert result.latency.size == counts[s]
 
 
-def test_multi_shard_replica_counters_survive_worker_pool():
-    """Per-shard replica counters come home from the pool intact.
+def _assert_pool_matches_serial(fed):
+    """Run ``fed`` serially and on two workers; every shard result, the
+    merged result and the routing must match.  Returns the serial run."""
+    serial = simulate_federation(fed)
+    pooled = simulate_federation(fed, workers=2)
+    assert np.array_equal(pooled.shard_of, serial.shard_of)
+    assert np.array_equal(pooled.spilled, serial.spilled)
+    assert len(pooled.shards) == len(serial.shards)
+    for got, want in zip(pooled.shards, serial.shards):
+        assert_same_result(got, want)
+    assert_same_result(pooled.merged, serial.merged)
+    return serial
 
-    Four shards running a replica policy (suppression plus adaptive
-    hedging) over a busy fault plan: every shard runs in a worker, so
-    a result field the pool fails to carry shows up as a per-shard or
-    merged mismatch against the serial run.
+
+def test_multi_shard_replica_counters_survive_worker_pool():
+    """A pooled multi-shard federation equals the serial run, field by
+    field.
+
+    Shard configs carry NumPy slices of the front-tier stream to the
+    workers, and results come home by pickle.  Two federations: four
+    shards running a replica policy (suppression plus adaptive hedging)
+    over a busy fault plan, so a replica counter the pool fails to
+    carry shows up, and a fault-free ``jsq`` federation.
     """
     template = replica_config()
-    fed = FederationConfig(
+    serial = _assert_pool_matches_serial(FederationConfig(
         tuple(template.with_seed(s) for s in range(4)),
         workload=replace(template.workload,
                          arrivals=PoissonArrivals(4 * 2.6)),
         n_queries=4_000, seed=5,
-    )
-    serial = simulate_federation(fed)
-    pooled = simulate_federation(fed, workers=2)
-    serial_counts = [r.hedges_suppressed for r in serial.shards]
-    assert all(count > 0 for count in serial_counts)
-    assert [r.hedges_suppressed for r in pooled.shards] == serial_counts
-    assert pooled.merged.hedges_suppressed == serial.merged.hedges_suppressed
-    for s, p in zip(serial.shards, pooled.shards):
-        assert controller_fingerprint(p.replicas) == (
-            controller_fingerprint(s.replicas))
+    ))
+    assert all(result.hedges_suppressed > 0 for result in serial.shards)
+    shard = _shard("tailguard")
+    _assert_pool_matches_serial(FederationConfig(
+        tuple(shard.with_seed(s) for s in range(3)),
+        workload=shard.workload, n_queries=3_000, seed=11, router="jsq",
+    ).at_load(0.7))

@@ -529,6 +529,22 @@ class TestFederationCommand:
         assert len(document["shards"]) == 2
         assert sum(row["queries"] for row in document["shards"]) == 1500
 
+    @pytest.mark.parametrize("flags", [
+        ["--spill", "--spill-margin-ms", "nan"],
+        ["--router", "tenant", "--tenant-alpha", "nan"],
+    ], ids=["spill-margin", "tenant-alpha"])
+    def test_nan_federation_scalar_exits_2(self, capsys, flags):
+        """A NaN spill margin used to exit 0 with spill silently off; a
+        NaN tenant alpha died with a NumPy traceback."""
+        assert main([
+            "federation", "--shards", "2", "--servers-per-shard", "110",
+            "--queries", "800", "--load", "0.9",
+        ] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tailguard: configuration error:")
+        assert "finite" in err
+        assert err.count("\n") == 1
+
     def test_federation_misconfiguration_exits_2(self, capsys):
         # 10 servers per shard cannot host the paper's fanout-100 class.
         assert main([

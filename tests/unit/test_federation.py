@@ -8,7 +8,6 @@ from repro.distributions import Exponential
 from repro.federation import (
     ROUTERS,
     FederationConfig,
-    FrontTier,
     RouteOutcome,
     SpillPolicy,
     route_queries,
@@ -54,6 +53,10 @@ class TestSpillPolicy:
     def test_negative_margin_rejected(self):
         with pytest.raises(ConfigurationError):
             SpillPolicy(margin_ms=-0.1)
+        # A NaN margin used to disable spill silently.
+        for margin in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigurationError, match="finite"):
+                SpillPolicy(margin_ms=margin)
 
     def test_defaults(self):
         assert SpillPolicy().margin_ms == 0.0
@@ -94,6 +97,9 @@ class TestFederationConfig:
             make_fed(n_tenants=0)
         with pytest.raises(ConfigurationError):
             make_fed(tenant_alpha=0.0)
+        for alpha in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigurationError, match="finite"):
+                make_fed(tenant_alpha=alpha)
 
     def test_recorder_clash_rejected(self):
         workload = make_workload()
@@ -152,17 +158,6 @@ class TestFederationConfig:
         assert fed.workload.load(fed.total_servers) == pytest.approx(0.5)
 
 
-class TestFrontTier:
-    def test_backlog_drains_at_capacity(self):
-        tier = FrontTier((make_shard(2), make_shard(4)))
-        tier.assign(0, 4)  # 4 tasks x 1ms mean = 4 server-ms
-        assert tier.delays()[0] == pytest.approx(2.0)  # 4 / 2 servers
-        tier.advance(1.0)  # drains 2 server-ms on shard 0
-        assert tier.delays()[0] == pytest.approx(1.0)
-        tier.advance(100.0)
-        assert tier.work[0] == 0.0  # clamped, never negative
-
-
 def run_router(fed, m=400, fanout_value=1, spacing=0.05, seed=0):
     classes = [fed.workload.class_mix.classes[0]]
     return route_queries(
@@ -177,6 +172,33 @@ def run_router(fed, m=400, fanout_value=1, spacing=0.05, seed=0):
 class TestRouters:
     def test_router_names_pinned(self):
         assert ROUTERS == ("jsq", "p2c", "least-slack", "tenant")
+
+    def test_backlog_drains_at_capacity(self):
+        # Shards of 4 and 8 servers, 1 ms mean service, jsq.  q0
+        # (fanout 8) fits only shard 1: 8 server-ms, delay 1.0.  q1 goes
+        # to idle shard 0: delay 0.25.  By t=0.5 shard 0 drained 2
+        # server-ms and clamped at zero while shard 1 drained 4 (delay
+        # 0.5), so q2 (fanout 3) takes shard 0 to delay 0.75 and q3
+        # goes to shard 1.  An unclamped backlog or a drain not scaled
+        # by capacity would make q3 a tie, which the seeds would split.
+        workload = make_workload()
+        fed = FederationConfig(
+            (make_shard(4, workload=workload),
+             make_shard(8, workload=workload)),
+            workload=workload, router="jsq",
+        )
+        classes = [workload.class_mix.classes[0]]
+        for seed in range(10):
+            outcome = route_queries(
+                fed, classes, np.zeros(4, dtype=np.int64),
+                np.array([8, 1, 3, 1]), np.array([0.0, 0.0, 0.5, 0.5]),
+                np.random.default_rng(seed))
+            assert outcome.shard_of.tolist() == [1, 0, 0, 1]
+
+    def test_router_loop_captures_no_locals(self):
+        """No comprehension or closure in the per-query loop reads its
+        locals, so none of them becomes a (slower) cell variable."""
+        assert route_queries.__code__.co_cellvars == ()
 
     @pytest.mark.parametrize("router", ["jsq", "p2c"])
     def test_load_aware_routers_balance_identical_shards(self, router):

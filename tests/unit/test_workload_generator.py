@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.types import ServiceClass
+from repro.types import QuerySpec, ServiceClass
 from repro.workloads import (
     PoissonArrivals,
     Workload,
@@ -84,12 +84,40 @@ class TestGenerateQueries:
 
 
 class TestQueryStream:
-    def test_stream_monotone_ids_and_times(self, workload, rng):
-        stream = QueryStream(workload, rng, block=16)
-        specs = [next(stream) for _ in range(50)]
-        assert [s.query_id for s in specs] == list(range(50))
-        times = [s.arrival_time for s in specs]
-        assert times == sorted(times)
+    def test_generate_draws_what_generate_queries_draws(self, workload):
+        stream = QueryStream.generate(workload, 200,
+                                      np.random.default_rng(5))
+        specs = generate_queries(workload, 200, np.random.default_rng(5))
+        assert len(stream) == 200
+        assert stream.fanout.dtype == np.int32
+        assert stream.class_index.dtype == np.int32
+        assert [stream.spec(i) for i in range(200)] == specs
+
+    def test_from_specs_keeps_ids_servers_and_order(self):
+        gold = ServiceClass("gold", 1.0)
+        silver = ServiceClass("silver", 2.0)
+        specs = [
+            QuerySpec(7, 2.0, 2, silver, servers=(3, 1)),
+            QuerySpec(4, 1.0, 1, gold),
+            QuerySpec(9, 3.0, 1, silver),
+        ]
+        stream = QueryStream.from_specs(specs)
+        assert stream.classes == (silver, gold)
+        assert stream.class_index.tolist() == [0, 1, 0]
+        assert stream.servers == [(3, 1), None, None]
+        assert [stream.spec(i) for i in range(3)] == specs
+        assert QueryStream.from_specs(specs[1:]).servers is None
+
+    def test_take_slices_rows_and_keeps_ids(self, workload):
+        stream = QueryStream.generate(workload, 50, np.random.default_rng(2))
+        idx = np.array([3, 10, 11, 40])
+        part = stream.take(idx)
+        assert len(part) == 4
+        assert np.array_equal(part.arrival, stream.arrival[idx])
+        assert [part.spec(i) for i in range(4)] == [
+            stream.spec(int(j)) for j in idx]
+        # A slice of a slice still carries the original positions.
+        assert part.take(np.array([1, 3])).query_ids.tolist() == [10, 40]
 
 
 class TestTraces:
@@ -129,8 +157,6 @@ class TestTraces:
             load_trace(path)
 
     def test_conflicting_class_definitions_rejected(self, tmp_path):
-        from repro.types import QuerySpec
-
         specs = [
             QuerySpec(0, 1.0, 1, ServiceClass("x", 1.0)),
             QuerySpec(1, 2.0, 1, ServiceClass("x", 2.0)),
@@ -140,7 +166,5 @@ class TestTraces:
 
 
 def QuerySpecWith(servers, cls, qid):
-    from repro.types import QuerySpec
-
     return QuerySpec(query_id=qid, arrival_time=1.0, fanout=len(servers),
                      service_class=cls, servers=servers)
