@@ -192,7 +192,6 @@ class QueryStream:
         class_index = np.empty(m, dtype=np.int32)
         query_ids = np.empty(m, dtype=np.int64)
         servers: List[Optional[Tuple[int, ...]]] = []
-        placed = False
         classes: List[ServiceClass] = []
         index_of: Dict[int, int] = {}
         for i, spec in enumerate(specs):
@@ -206,9 +205,9 @@ class QueryStream:
             class_index[i] = idx
             query_ids[i] = spec.query_id
             servers.append(spec.servers)
-            placed = placed or spec.servers is not None
-        return cls(arrival, fanout, class_index, classes,
-                   servers if placed else None, query_ids)
+        if all(placed is None for placed in servers):
+            servers = None
+        return cls(arrival, fanout, class_index, classes, servers, query_ids)
 
     def __len__(self) -> int:
         return int(self.arrival.shape[0])
