@@ -179,8 +179,8 @@ class TestRouters:
         # to idle shard 0: delay 0.25.  By t=0.5 shard 0 drained 2
         # server-ms and clamped at zero while shard 1 drained 4 (delay
         # 0.5), so q2 (fanout 3) takes shard 0 to delay 0.75 and q3
-        # goes to shard 1.  An unclamped backlog or a drain not scaled
-        # by capacity would make q3 a tie, which the seeds would split.
+        # goes to shard 1.  An unclamped backlog, or a drain at another
+        # rate, routes q3 elsewhere or into a tie the seeds would split.
         workload = make_workload()
         fed = FederationConfig(
             (make_shard(4, workload=workload),
